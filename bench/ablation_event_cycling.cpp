@@ -44,21 +44,14 @@ int main(int argc, char** argv) {
   // Ground truth: free-running totals of one reference run per repetition
   // (a facility real PMUs do not offer across >registers events — the
   // simulator's advantage for this ablation).
-  evsel::Collector truth_collector(config);
-  evsel::CollectOptions truth_options;
-  truth_options.repetitions = static_cast<u32>(repetitions);
   // A single oversized "group" is impossible through the perf layer; read
   // the machine directly instead.
   std::map<sim::Event, double> truth;
   {
     sim::Machine machine(config);
     for (u32 rep = 0; rep < repetitions; ++rep) {
-      machine.reset();
-      os::AddressSpace space(machine.topology());
-      trace::RunnerConfig rc;
-      rc.seed = 4242 + rep;
-      trace::Runner runner(machine, space, rc);
-      runner.run(factory());
+      trace::Run run(machine, {.seed = 4242 + rep});
+      run.run(factory());
       const auto totals = machine.aggregate_counters();
       for (const auto& info : sim::all_events()) {
         truth[info.event] += static_cast<double>(totals[info.event]) /

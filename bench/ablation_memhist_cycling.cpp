@@ -45,14 +45,12 @@ int main(int argc, char** argv) {
 
   for (const Cycles slice : {Cycles{20000}, Cycles{60000}, Cycles{200000},
                              Cycles{1000000}, Cycles{4000000}}) {
-    machine.reset();
-    os::AddressSpace space(machine.topology());
-    trace::Runner runner(machine, space);
+    trace::Run run(machine);
     memhist::MemhistOptions options;
     options.slice_cycles = slice;
-    memhist::MemhistBuilder builder(machine, runner, options);
+    memhist::MemhistBuilder builder(machine, run.runner(), options);
     builder.start();
-    runner.run(factory());
+    run.run(factory());
     const auto histogram = builder.finish();
 
     u64 slices = 0;

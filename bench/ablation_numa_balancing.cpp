@@ -28,11 +28,8 @@ struct Outcome {
 Outcome run_consumers(const sim::MachineConfig& config, u16 balancing_threshold,
                       u64 accesses) {
   sim::Machine machine(config);
-  os::AddressSpace space(machine.topology());
-  if (balancing_threshold > 0) space.enable_numa_balancing(balancing_threshold);
-  trace::RunnerConfig rc;
-  rc.affinity = os::AffinityPolicy::kScatter;
-  trace::Runner runner(machine, space, rc);
+  trace::Run run(machine, {.affinity = os::AffinityPolicy::kScatter});
+  if (balancing_threshold > 0) run.space().enable_numa_balancing(balancing_threshold);
 
   auto shared = std::make_shared<std::vector<VirtAddr>>();
   const u32 threads = 4;
@@ -60,7 +57,7 @@ Outcome run_consumers(const sim::MachineConfig& config, u16 balancing_threshold,
     }
     co_await ctx.barrier(1);
   };
-  const auto result = runner.run(trace::Program::homogeneous(threads, body));
+  const auto result = run.run(trace::Program::homogeneous(threads, body));
 
   Outcome out;
   out.duration = result.duration;

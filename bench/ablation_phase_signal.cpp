@@ -37,15 +37,11 @@ int main(int argc, char** argv) {
   stats::Accumulator counter_error;
 
   for (i64 trial = 0; trial < trials; ++trial) {
-    machine.reset();
-    os::AddressSpace space(machine.topology());
-    trace::RunnerConfig rc;
-    rc.seed = 1000 + static_cast<u64>(trial);
-    trace::Runner runner(machine, space, rc);
+    trace::Run run(machine, {.seed = 1000 + static_cast<u64>(trial)});
 
-    os::FootprintRecorder footprint(space);
+    os::FootprintRecorder footprint(run.space());
     phasen::CounterTimeline timeline(machine);
-    runner.add_sampler(250000, [&](Cycles now) {
+    run.runner().add_sampler(250000, [&](Cycles now) {
       footprint.sample(now);
       timeline.sample(now);
     });
@@ -54,10 +50,10 @@ int main(int argc, char** argv) {
     params.regions = 48;
     params.region_bytes = 128 * 1024;
     params.compute_rounds = 20;
-    const auto run = runner.run(workloads::rampup_app_program(params));
+    const auto result = run.run(workloads::rampup_app_program(params));
 
     Cycles truth = 0;
-    for (const auto& mark : run.phase_marks) {
+    for (const auto& mark : result.phase_marks) {
       if (mark.id == 1) truth = mark.timestamp;
     }
 
@@ -65,7 +61,7 @@ int main(int argc, char** argv) {
     const auto split = phasen::detect_phases(footprint.samples());
     footprint_error.add(
         100.0 * std::fabs(static_cast<double>(split.pivot_time) - static_cast<double>(truth)) /
-        static_cast<double>(run.duration));
+        static_cast<double>(result.duration));
 
     // Counter-based detection: per-interval instruction rate, the obvious
     // "activity" signal — noisy because each sample is a small window.
@@ -86,7 +82,7 @@ int main(int argc, char** argv) {
     counter_error.add(100.0 *
                       std::fabs(static_cast<double>(counter_split.pivot_time) -
                                 static_cast<double>(truth)) /
-                      static_cast<double>(run.duration));
+                      static_cast<double>(result.duration));
   }
 
   util::Table table({"signal", "mean pivot error", "worst pivot error"});

@@ -45,23 +45,20 @@ struct RunStats {
 
 RunStats run_once(bool tasks, u32 threads, u32 elements_log2, Cycles period) {
   sim::Machine machine(sim::dual_socket_small(2));
-  os::AddressSpace space(machine.topology());
-  trace::RunnerConfig config;
-  config.task_accounting = tasks;
-  trace::Runner runner(machine, space, config);
+  trace::Run run(machine, {.task_accounting = tasks});
 
   monitor::SamplerConfig node_config;
   node_config.period = period;
-  monitor::Sampler node_sampler(machine, space, node_config);
-  node_sampler.attach(runner);
+  monitor::Sampler node_sampler(machine, run.space(), node_config);
+  node_sampler.attach(run.runner());
 
   monitor::TaskSamplerConfig task_config;
   task_config.period = period;
   monitor::TaskSampler task_sampler(machine, task_config);
-  if (tasks) task_sampler.attach(runner);
+  if (tasks) task_sampler.attach(run.runner());
 
   const auto start = std::chrono::steady_clock::now();
-  const auto result = runner.run(make_workload(threads, elements_log2));
+  const auto result = run.run(make_workload(threads, elements_log2));
   const auto stop = std::chrono::steady_clock::now();
 
   RunStats stats;

@@ -29,14 +29,10 @@ using namespace npat;
 
 memhist::LatencyHistogram run_memhist(sim::Machine& machine, const trace::Program& program,
                                       const memhist::MemhistOptions& options) {
-  machine.reset();
-  os::AddressSpace space(machine.topology());
-  trace::RunnerConfig rc;
-  rc.affinity = os::AffinityPolicy::kScatter;
-  trace::Runner runner(machine, space, rc);
-  memhist::MemhistBuilder builder(machine, runner, options);
+  trace::Run run(machine, {.affinity = os::AffinityPolicy::kScatter});
+  memhist::MemhistBuilder builder(machine, run.runner(), options);
   builder.start();
-  runner.run(program);
+  run.run(program);
   auto histogram = builder.finish();
   memhist::annotate_with_machine_levels(histogram, machine.config());
   return histogram;
@@ -127,9 +123,7 @@ int main(int argc, char** argv) {
     static constexpr usize kTotalLines = 16384;
     auto chase_pages = [&](usize pages, bool huge) {
       const usize lines_per_page = kTotalLines / pages;
-      machine.reset();
-      os::AddressSpace space(machine.topology());
-      trace::Runner runner(machine, space);
+      trace::Run run(machine);
       perf::LoadLatencySession session(machine);
       auto body = [pages, lines_per_page, huge](trace::ThreadContext& ctx) -> trace::SimTask {
         const VirtAddr base = huge ? ctx.alloc_huge(pages * kPageBytes)
@@ -153,7 +147,7 @@ int main(int argc, char** argv) {
         }
       };
       session.arm(1, 16);
-      runner.run(trace::Program::single(body));
+      run.run(trace::Program::single(body));
       const auto reading = session.disarm();
       double total = 0;
       for (const auto& sample : reading.samples) total += static_cast<double>(sample.latency);

@@ -46,18 +46,17 @@ struct RunStats {
 
 RunStats run_once(u32 threads, Cycles period, Cycles read_cost) {
   sim::Machine machine(sim::dual_socket_small(2));
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
+  trace::Run run(machine);
 
   if (period == 0) {
-    return {runner.run(make_workload(threads)).duration, 0};
+    return {run.run(make_workload(threads)).duration, 0};
   }
   monitor::SamplerConfig config;
   config.period = period;
   config.read_cost_cycles = read_cost;
-  monitor::Sampler sampler(machine, space, config);
-  sampler.attach(runner);
-  const auto result = runner.run(make_workload(threads));
+  monitor::Sampler sampler(machine, run.space(), config);
+  sampler.attach(run.runner());
+  const auto result = run.run(make_workload(threads));
   return {result.duration, sampler.samples_taken()};
 }
 

@@ -23,14 +23,13 @@ memhist::LatencyHistogram run_with_memhist(const sim::MachineConfig& config,
                                            const trace::Program& program,
                                            memhist::HistogramMode mode) {
   sim::Machine machine(config);
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
+  trace::Run run(machine);
   memhist::MemhistOptions options;
   options.slice_cycles = 400000;  // fast-forward stand-in for 10 ms slices
   options.mode = mode;
-  memhist::MemhistBuilder builder(machine, runner, options);
+  memhist::MemhistBuilder builder(machine, run.runner(), options);
   builder.start();
-  runner.run(program);
+  run.run(program);
   auto histogram = builder.finish();
   memhist::annotate_with_machine_levels(histogram, config);
   return histogram;
@@ -95,12 +94,11 @@ int main(int argc, char** argv) {
     params.think_instructions = 24;  // dependent chase: low MLP
 
     sim::Machine machine(config);
-    os::AddressSpace space(machine.topology());
-    trace::Runner runner(machine, space);
+    trace::Run run(machine);
     perf::LoadLatencySession session(machine);
-    runner.run(workloads::mlc_program(params));  // warm-up / init phase
+    run.run(workloads::mlc_program(params));  // warm-up / init phase
     session.arm(1, 16);
-    runner.run(workloads::mlc_program(params));
+    run.run(workloads::mlc_program(params));
     const auto reading = session.disarm();
     std::vector<double> latencies;
     for (const auto& sample : reading.samples) {

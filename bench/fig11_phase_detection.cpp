@@ -30,14 +30,13 @@ int main(int argc, char** argv) {
 
   const sim::MachineConfig config = sim::hpe_dl580_gen9(2);
   sim::Machine machine(config);
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
+  trace::Run run(machine);
 
-  os::FootprintRecorder footprint(space);
+  os::FootprintRecorder footprint(run.space());
   phasen::CounterTimeline timeline(machine);
   // Footprint + counter snapshots at the same cadence (10 Hz equivalent is
   // far too sparse for a short simulated run; sample densely instead).
-  runner.add_sampler(200000, [&](Cycles now) {
+  run.runner().add_sampler(200000, [&](Cycles now) {
     footprint.sample(now);
     timeline.sample(now);
   });
@@ -46,19 +45,19 @@ int main(int argc, char** argv) {
   params.regions = static_cast<u32>(regions);
   params.region_bytes = static_cast<usize>(region_kb) * 1024;
   params.compute_rounds = static_cast<u32>(rounds);
-  const auto run = runner.run(workloads::rampup_app_program(params));
+  const auto result = run.run(workloads::rampup_app_program(params));
 
   const auto split = phasen::detect_phases(footprint.samples());
   std::fputs(phasen::render_footprint_chart(footprint.samples(), split).c_str(), stdout);
 
   // Ground truth from the workload's phase mark.
   Cycles truth = 0;
-  for (const auto& mark : run.phase_marks) {
+  for (const auto& mark : result.phase_marks) {
     if (mark.id == 1) truth = mark.timestamp;
   }
   const double error_pct =
       100.0 * std::fabs(static_cast<double>(split.pivot_time) - static_cast<double>(truth)) /
-      static_cast<double>(run.duration);
+      static_cast<double>(result.duration);
   std::printf("\nground-truth transition: cycle %llu; detected: cycle %llu "
               "(error %.2f %% of the run)\n\n",
               static_cast<unsigned long long>(truth),

@@ -29,11 +29,10 @@ int main(int argc, char** argv) {
   sim::MachineConfig config = sim::hpe_dl580_gen9(2);
   config.l3.size_bytes = MiB(4);
   sim::Machine machine(config);
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
+  trace::Run run(machine);
   memhist::MemhistOptions options;
   options.slice_cycles = 300000;
-  memhist::MemhistBuilder builder(machine, runner, options);
+  memhist::MemhistBuilder builder(machine, run.runner(), options);
 
   auto pair = util::make_loopback_pair();
   util::FaultyChannel::Config faults;
@@ -45,7 +44,7 @@ int main(int argc, char** argv) {
   builder.start();
   workloads::MlcParams params = workloads::mlc_remote(config.topology, MiB(16));
   params.chase_steps = static_cast<u64>(chase_steps);
-  const auto result = runner.run(workloads::mlc_program(params));
+  const auto result = run.run(workloads::mlc_program(params));
   builder.finish();
 
   probe.send_hello(machine.nodes());

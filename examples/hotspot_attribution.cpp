@@ -28,19 +28,18 @@ int main(int argc, char** argv) {
   // --- per-region hotspot attribution ------------------------------------
   const sim::MachineConfig config = sim::hpe_dl580_gen9(2);
   sim::Machine machine(config);
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
+  trace::Run run(machine);
 
   profile::SourceProfile profile;
   profile.register_region(workloads::kSortTagFill, "lcg-fill (Listing 3)");
   profile.register_region(workloads::kSortTagLocalSort, "local merge sort");
   profile.register_region(workloads::kSortTagMergeTree, "parallel merge tree");
-  profile.attach(runner);
+  profile.attach(run.runner());
 
   workloads::ParallelSortParams params;
   params.elements = static_cast<usize>(elements);
   params.threads = static_cast<u32>(threads);
-  runner.run(workloads::parallel_sort_program(params));
+  run.run(workloads::parallel_sort_program(params));
 
   std::fputs(profile
                  .report({sim::Event::kCycles, sim::Event::kInstructions,

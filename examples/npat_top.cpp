@@ -233,26 +233,23 @@ std::vector<HostSession> simulate_hosts(const FleetFlags& flags) {
   std::vector<HostSession> hosts;
   for (usize h = 0; h < flags.hosts; ++h) {
     sim::Machine machine(sim::preset_by_name(flags.preset));
-    os::AddressSpace space(machine.topology());
-    trace::RunnerConfig runner_config;
-    runner_config.task_accounting = flags.tasks;
-    trace::Runner runner(machine, space, runner_config);
+    trace::Run run(machine, {.task_accounting = flags.tasks});
     monitor::SamplerConfig sampler_config;
     sampler_config.period = flags.period;
     sampler_config.ring_capacity = 1 << 16;  // keep the whole session
-    monitor::Sampler sampler(machine, space, sampler_config);
-    sampler.attach(runner);
+    monitor::Sampler sampler(machine, run.space(), sampler_config);
+    sampler.attach(run.runner());
     monitor::TaskSamplerConfig task_config;
     task_config.period = flags.period;
     task_config.ring_capacity = 1 << 16;
     monitor::TaskSampler task_sampler(machine, task_config);
-    if (flags.tasks) task_sampler.attach(runner);
+    if (flags.tasks) task_sampler.attach(run.runner());
 
     const trace::Program program = workload_by_name(flags.workload, flags.threads);
     HostSession host;
     host.id = util::format("host%02zu", h);
     if (flags.tasks) host.registry.add_program(program);
-    runner.run(program);
+    run.run(program);
     if (machine.max_clock() > 0) {
       sampler.sample(machine.max_clock());
       if (flags.tasks) task_sampler.sample(machine.max_clock());
@@ -784,21 +781,18 @@ int main(int argc, char** argv) {
     }
 
     sim::Machine machine(sim::preset_by_name(preset));
-    os::AddressSpace space(machine.topology());
-    trace::RunnerConfig runner_config;
-    runner_config.task_accounting = tasks;
-    trace::Runner runner(machine, space, runner_config);
+    trace::Run run(machine, {.task_accounting = tasks});
 
     monitor::SamplerConfig sampler_config;
     sampler_config.period = static_cast<Cycles>(period);
     sampler_config.read_cost_cycles = static_cast<Cycles>(read_cost);
-    monitor::Sampler sampler(machine, space, sampler_config);
-    sampler.attach(runner);
+    monitor::Sampler sampler(machine, run.space(), sampler_config);
+    sampler.attach(run.runner());
 
     monitor::TaskSamplerConfig task_config;
     task_config.period = static_cast<Cycles>(period);
     monitor::TaskSampler task_sampler(machine, task_config);
-    if (tasks) task_sampler.attach(runner);
+    if (tasks) task_sampler.attach(run.runner());
     proc::TaskRegistry registry;
 
     // --health: an internal stamped loopback probe routes every drained
@@ -875,10 +869,10 @@ int main(int argc, char** argv) {
     };
     // Registered *after* the sampler's own hook, so every refresh tick sees
     // the periods it covers already in the ring.
-    runner.add_sampler(sampler_config.period * static_cast<Cycles>(refresh_every),
-                       [&](Cycles) { refresh(false); });
+    run.runner().add_sampler(sampler_config.period * static_cast<Cycles>(refresh_every),
+                             [&](Cycles) { refresh(false); });
 
-    const auto result = runner.run(program);
+    const auto result = run.run(program);
     // Flush the tail past the last periodic tick, then render what's left.
     if (machine.max_clock() > 0) {
       sampler.sample(machine.max_clock());
@@ -934,7 +928,7 @@ int main(int argc, char** argv) {
     if (advise) {
       advisor::Advisor adv(sim::preset_by_name(preset));
       advisor::AdvisorOptions advise_options;
-      advise_options.baseline.affinity = runner_config.affinity;
+      advise_options.baseline.affinity = run.runner().config().affinity;
       advise_options.sample_period = static_cast<Cycles>(period);
       const auto rec = adv.advise(
           [&] { return workload_by_name(workload, static_cast<u32>(threads)); },

@@ -44,9 +44,7 @@ int main(int argc, char** argv) {
     const u32 hops = config.topology.hops(0, mem_node);
     if (median_by_hops.count(hops)) continue;
 
-    machine.reset();
-    os::AddressSpace space(machine.topology());
-    trace::Runner runner(machine, space);
+    trace::Run run(machine);
 
     workloads::MlcParams params;
     params.buffer_bytes = MiB(8);
@@ -56,7 +54,7 @@ int main(int argc, char** argv) {
 
     perf::LoadLatencySession session(machine);
     session.arm(1, 8);
-    runner.run(workloads::mlc_program(params));
+    run.run(workloads::mlc_program(params));
     const auto reading = session.disarm();
 
     std::vector<Cycles> latencies;
@@ -89,16 +87,14 @@ int main(int argc, char** argv) {
 
   // Ship one chase's Memhist readings through the remote-probe wire
   // protocol, as the headless server probe would.
-  machine.reset();
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
+  trace::Run run(machine);
   memhist::MemhistOptions options;
   options.slice_cycles = 300000;
-  memhist::MemhistBuilder builder(machine, runner, options);
+  memhist::MemhistBuilder builder(machine, run.runner(), options);
   builder.start();
   workloads::MlcParams params = workloads::mlc_remote(config.topology, MiB(8));
   params.chase_steps = static_cast<u64>(chase_steps);
-  const auto result = runner.run(workloads::mlc_program(params));
+  const auto result = run.run(workloads::mlc_program(params));
   builder.finish();
 
   auto pair = util::make_loopback_pair();

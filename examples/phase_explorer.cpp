@@ -56,19 +56,18 @@ int main(int argc, char** argv) {
 
   const sim::MachineConfig config = sim::dual_socket_small(2);
   sim::Machine machine(config);
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
+  trace::Run run(machine);
 
-  os::FootprintRecorder footprint(space);
+  os::FootprintRecorder footprint(run.space());
   phasen::CounterTimeline timeline(machine);
-  runner.add_sampler(3000, [&](Cycles now) {
+  run.runner().add_sampler(3000, [&](Cycles now) {
     footprint.sample(now);
     timeline.sample(now);
   });
 
   const u32 steps = static_cast<u32>(supersteps);
   const usize bytes = static_cast<usize>(step_kb) * 1024;
-  runner.run(trace::Program::single(
+  run.run(trace::Program::single(
       [steps, bytes](trace::ThreadContext& ctx) { return bsp_body(ctx, steps, bytes); }));
 
   // The footprint staircase has one segment per superstep: allocation is a

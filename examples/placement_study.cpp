@@ -92,11 +92,8 @@ int main(int argc, char** argv) {
   // perf's §II-F promise, through the toolkit: per-node load and an
   // imbalance verdict for the master-touch configuration.
   sim::Machine machine(sim::hpe_dl580_gen9(4));
-  os::AddressSpace space(machine.topology());
-  trace::RunnerConfig rc;
-  rc.affinity = os::AffinityPolicy::kScatter;
-  trace::Runner runner(machine, space, rc);
-  runner.run(triad(os::PagePolicy::kBind));
+  trace::Run run(machine, {.affinity = os::AffinityPolicy::kScatter});
+  run.run(triad(os::PagePolicy::kBind));
   std::puts("");
   std::fputs(evsel::node_imbalance(machine).render().c_str(), stdout);
 

@@ -46,13 +46,12 @@ int main() {
 
   // --- 2. Memhist: latency histogram of the strided scan -----------------
   sim::Machine machine(config);
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
+  trace::Run run(machine);
   memhist::MemhistOptions hist_options;
   hist_options.slice_cycles = 40000;
-  memhist::MemhistBuilder builder(machine, runner, hist_options);
+  memhist::MemhistBuilder builder(machine, run.runner(), hist_options);
   builder.start();
-  runner.run(workloads::cache_scan_program(strided));
+  run.run(workloads::cache_scan_program(strided));
   auto histogram = builder.finish();
   memhist::annotate_with_machine_levels(histogram, config);
   std::puts("");
@@ -60,13 +59,12 @@ int main() {
 
   // --- 3. Phasenprüfer: find the ramp-up/compute transition --------------
   sim::Machine machine2(config);
-  os::AddressSpace space2(machine2.topology());
-  trace::Runner runner2(machine2, space2);
-  os::FootprintRecorder recorder(space2);
-  runner2.add_sampler(100000, [&](Cycles now) { recorder.sample(now); });
+  trace::Run run2(machine2);
+  os::FootprintRecorder recorder(run2.space());
+  run2.runner().add_sampler(100000, [&](Cycles now) { recorder.sample(now); });
   workloads::RampupParams app;
   app.regions = 24;
-  runner2.run(workloads::rampup_app_program(app));
+  run2.run(workloads::rampup_app_program(app));
   const auto split = phasen::detect_phases(recorder.samples());
   std::puts("");
   std::fputs(phasen::render_footprint_chart(recorder.samples(), split).c_str(), stdout);

@@ -281,27 +281,24 @@ Recommendation Advisor::advise(const evsel::ProgramFactory& factory,
 
   // ---- 1. profile run: one instrumented execution under the baseline ----
   sim::Machine machine(config_);
-  os::AddressSpace space(machine.topology());
+  trace::Run run(machine, {.affinity = options.baseline.affinity,
+                           .seed = options.seed,
+                           .task_accounting = true});
   if (options.baseline.page_policy) {
-    space.set_policy_override(*options.baseline.page_policy, options.baseline.bind_node);
+    run.space().set_policy_override(*options.baseline.page_policy, options.baseline.bind_node);
   }
-  trace::RunnerConfig runner_config;
-  runner_config.seed = options.seed;
-  runner_config.affinity = options.baseline.affinity;
-  runner_config.task_accounting = true;
-  trace::Runner runner(machine, space, runner_config);
 
   monitor::SamplerConfig sampler_config;
   sampler_config.period = options.sample_period;
-  monitor::Sampler sampler(machine, space, sampler_config);
-  sampler.attach(runner);
+  monitor::Sampler sampler(machine, run.space(), sampler_config);
+  sampler.attach(run.runner());
   monitor::TaskSamplerConfig task_config;
   task_config.period = options.sample_period;
   monitor::TaskSampler task_sampler(machine, task_config);
-  task_sampler.attach(runner);
+  task_sampler.attach(run.runner());
   phasen::CounterTimeline timeline(machine);
-  os::FootprintRecorder footprint(space);
-  runner.add_sampler(options.sample_period, [&](Cycles now) {
+  os::FootprintRecorder footprint(run.space());
+  run.runner().add_sampler(options.sample_period, [&](Cycles now) {
     timeline.sample(now);
     footprint.sample(now);
   });
@@ -315,7 +312,7 @@ Recommendation Advisor::advise(const evsel::ProgramFactory& factory,
   // it (for short runs, the whole allocation/fill phase).
   timeline.sample(0);
   footprint.sample(0);
-  runner.run(program);
+  run.run(program);
   const Cycles end_clock = machine.max_clock();
   sampler.sample(end_clock);
   task_sampler.sample(end_clock);
@@ -323,7 +320,7 @@ Recommendation Advisor::advise(const evsel::ProgramFactory& factory,
   footprint.sample(end_clock);
 
   // numastat share of resident pages per node.
-  const std::vector<u64> node_pages = space.pages_per_node();
+  const std::vector<u64> node_pages = run.space().pages_per_node();
   u64 total_pages = 0;
   for (const u64 pages : node_pages) total_pages += pages;
   for (const u64 pages : node_pages) {

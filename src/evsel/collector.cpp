@@ -1,6 +1,7 @@
 #include "evsel/collector.hpp"
 
 #include <cmath>
+#include <optional>
 
 #include "obs/obs.hpp"
 #include "perf/multiplex.hpp"
@@ -77,25 +78,27 @@ bool run_is_outlier(const std::vector<perf::EventValue>& run, const std::vector<
 Collector::Collector(sim::MachineConfig config)
     : config_(std::move(config)), machine_(config_) {}
 
-void Collector::run_once(const ProgramFactory& factory, u64 seed,
-                         const CollectOptions& options,
-                         const std::function<void(trace::Runner&)>& before,
-                         const std::function<void(trace::Runner&)>& after) {
+std::vector<perf::EventValue> Collector::run_once(const ProgramFactory& factory, u64 seed,
+                                                  const CollectOptions& options,
+                                                  const std::vector<sim::Event>& events) {
   NPAT_OBS_SPAN("evsel.run");
   NPAT_OBS_COUNT("npat_evsel_runs_total", "Simulated program runs executed by EvSel", 1);
-  machine_.reset();
-  os::AddressSpace space(machine_.topology());
+  // A batched run arms exactly one register group, checked before the reset.
+  std::optional<perf::CountingSession> counting;
+  if (options.strategy == CollectionStrategy::kBatchedRuns) counting.emplace(machine_, events);
+  trace::Run run(machine_, {.affinity = options.affinity, .seed = seed});
   if (options.page_policy_override) {
-    space.set_policy_override(*options.page_policy_override, options.override_bind_node);
+    run.space().set_policy_override(*options.page_policy_override, options.override_bind_node);
   }
-  trace::RunnerConfig runner_config;
-  runner_config.seed = seed;
-  runner_config.affinity = options.affinity;
-  trace::Runner runner(machine_, space, runner_config);
-  if (before) before(runner);
-  runner.run(factory());
-  if (after) after(runner);
+  std::optional<perf::MultiplexedSession> multiplexed;
+  if (counting) {
+    counting->start();
+  } else {
+    multiplexed.emplace(machine_, run.runner(), events, options.rotation_interval).start();
+  }
+  run.run(factory());
   ++runs_executed_;
+  return counting ? counting->stop() : multiplexed->stop();
 }
 
 Measurement Collector::measure(const std::string& label, const ProgramFactory& factory,
@@ -138,56 +141,28 @@ Measurement Collector::measure(const std::string& label, const ProgramFactory& f
     }
   };
 
-  if (options.strategy == CollectionStrategy::kBatchedRuns) {
-    const auto groups = perf::plan_event_groups(events);
-    // One column of runs per group: run_values[g][rep].
-    std::vector<std::vector<std::vector<perf::EventValue>>> run_values(
-        groups.size(), std::vector<std::vector<perf::EventValue>>(options.repetitions));
-    const auto run_group = [&](usize g, u32 rep, u64 seed) {
-      // Arm only this group's registers; re-run the whole program.
-      perf::CountingSession session(machine_, groups[g]);
-      run_once(
-          factory, seed, options,
-          [&](trace::Runner&) { session.start(); },
-          [&](trace::Runner&) { run_values[g][rep] = session.stop(); });
-    };
-    for (u32 rep = 0; rep < options.repetitions; ++rep) {
-      for (usize g = 0; g < groups.size(); ++g) {
-        run_group(g, rep, options.seed + 0x1000003ULL * rep + 0x10001ULL * g);
-      }
+  // One column of runs per armed set, run_values[column][rep]: batched
+  // runs re-run the program once per register group; multiplexed runs
+  // rotate through every event in a single run.
+  const std::vector<std::vector<sim::Event>> columns =
+      options.strategy == CollectionStrategy::kBatchedRuns
+          ? perf::plan_event_groups(events)
+          : std::vector<std::vector<sim::Event>>{events};
+  std::vector<std::vector<std::vector<perf::EventValue>>> run_values(
+      columns.size(), std::vector<std::vector<perf::EventValue>>(options.repetitions));
+  for (u32 rep = 0; rep < options.repetitions; ++rep) {
+    for (usize g = 0; g < columns.size(); ++g) {
+      run_values[g][rep] = run_once(factory, options.seed + 0x1000003ULL * rep + 0x10001ULL * g,
+                                    options, columns[g]);
     }
-    for (usize g = 0; g < groups.size(); ++g) {
-      quarantine(run_values[g], groups[g],
-                 [&](u32 rep, u64 seed) { run_group(g, rep, seed); });
-    }
-    for (u32 rep = 0; rep < options.repetitions; ++rep) {
-      for (usize g = 0; g < groups.size(); ++g) measurement.add_values(run_values[g][rep]);
-    }
-  } else {
-    std::vector<std::vector<perf::EventValue>> rep_values(options.repetitions);
-    const auto run_rep = [&](u32 rep, u64 seed) {
-      NPAT_OBS_SPAN("evsel.run");
-      NPAT_OBS_COUNT("npat_evsel_runs_total", "Simulated program runs executed by EvSel", 1);
-      machine_.reset();
-      os::AddressSpace space(machine_.topology());
-      if (options.page_policy_override) {
-        space.set_policy_override(*options.page_policy_override, options.override_bind_node);
-      }
-      trace::RunnerConfig runner_config;
-      runner_config.seed = seed;
-      runner_config.affinity = options.affinity;
-      trace::Runner runner(machine_, space, runner_config);
-      perf::MultiplexedSession session(machine_, runner, events, options.rotation_interval);
-      session.start();
-      runner.run(factory());
-      rep_values[rep] = session.stop();
-      ++runs_executed_;
-    };
-    for (u32 rep = 0; rep < options.repetitions; ++rep) {
-      run_rep(rep, options.seed + 0x1000003ULL * rep);
-    }
-    quarantine(rep_values, events, run_rep);
-    for (u32 rep = 0; rep < options.repetitions; ++rep) measurement.add_values(rep_values[rep]);
+  }
+  for (usize g = 0; g < columns.size(); ++g) {
+    quarantine(run_values[g], columns[g], [&](u32 rep, u64 seed) {
+      run_values[g][rep] = run_once(factory, seed, options, columns[g]);
+    });
+  }
+  for (u32 rep = 0; rep < options.repetitions; ++rep) {
+    for (usize g = 0; g < columns.size(); ++g) measurement.add_values(run_values[g][rep]);
   }
   measurement.note_quarantined(quarantined);
   measurement.note_retry_exhausted(retry_exhausted);

@@ -75,9 +75,11 @@ class Collector {
   sim::Machine& machine() noexcept { return machine_; }
 
  private:
-  void run_once(const ProgramFactory& factory, u64 seed, const CollectOptions& options,
-                const std::function<void(trace::Runner&)>& before,
-                const std::function<void(trace::Runner&)>& after);
+  /// The one place EvSel builds a run: resets the machine, applies the
+  /// placement override and reads `events` over one run of `factory`.
+  std::vector<perf::EventValue> run_once(const ProgramFactory& factory, u64 seed,
+                                         const CollectOptions& options,
+                                         const std::vector<sim::Event>& events);
 
   sim::MachineConfig config_;
   sim::Machine machine_;

@@ -42,7 +42,7 @@ struct Hello {
   /// Since version 3: names the sending probe in a multi-probe fleet.
   /// Empty on version <= 2 streams (whose Hello has no host field) and
   /// encoded only when `version >= 3`, so v2 frames stay byte-identical.
-  std::string host_id;
+  std::string host_id{};
 
   friend bool operator==(const Hello&, const Hello&) = default;
 };

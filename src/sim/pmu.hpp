@@ -65,7 +65,7 @@ struct PebsConfig {
   /// (e.g. remote HITM only) — the data-source umask filters real PEBS
   /// offers, and the hook for the paper's "coherency protocol overhead"
   /// and "TLB miss cost" follow-ups.
-  std::optional<DataSource> source_filter;
+  std::optional<DataSource> source_filter{};
 };
 
 struct PebsRecord {

@@ -293,4 +293,28 @@ class Runner {
   u32 live_threads_ = 0;
 };
 
+/// One simulated run on `machine`, the unit every npat tool is built from
+/// (EvSel re-runs the whole program per register group and repetition,
+/// §IV-A.1). Construction resets the machine, builds a fresh address space
+/// over its topology and a runner wired to both. Attach samplers, sessions
+/// and profiles to `runner()` and `space()` before `run()`; read them after.
+class Run {
+ public:
+  explicit Run(sim::Machine& machine, RunnerConfig config = {})
+      : space_((machine.reset(), machine.topology())), runner_(machine, space_, config) {}
+
+  os::AddressSpace& space() noexcept { return space_; }
+  Runner& runner() noexcept { return runner_; }
+
+  /// Runs `program` to completion; a second call continues on the same
+  /// space and machine state (e.g. a measured run after a warm-up).
+  RunResult run(const Program& program) { return runner_.run(program); }
+
+ private:
+  // Declared before the runner so the runner (and its unmap/migrate hooks
+  // on the space) is destroyed first.
+  os::AddressSpace space_;
+  Runner runner_;
+};
+
 }  // namespace npat::trace

@@ -88,14 +88,10 @@ SuiteResult run_suite(const sim::MachineConfig& base, const SuiteOptions& option
     if (spec.prepare) spec.prepare(config);
 
     sim::Machine machine(config);
-    os::AddressSpace space(config.topology);
-    trace::RunnerConfig runner_config;
-    runner_config.affinity = spec.affinity;
-    runner_config.seed = options.runner_seed;
-    trace::Runner runner(machine, space, runner_config);
+    trace::Run sim_run(machine, {.affinity = spec.affinity, .seed = options.runner_seed});
 
     if (spec.arm) spec.arm(machine);
-    runner.run(spec.make_program());
+    sim_run.run(spec.make_program());
     if (spec.post) spec.post(machine);
 
     run.counters = machine.aggregate_counters();

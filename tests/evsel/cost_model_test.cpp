@@ -42,7 +42,9 @@ TEST(CostModel, RecoversLinearWeights) {
   EXPECT_GT(model->training_r_squared(), 0.999);
   EXPECT_NEAR(model->intercept(), 1000.0, 20.0);
   for (const auto& feature : model->features()) {
-    if (feature.event == sim::Event::kL1dMiss) EXPECT_NEAR(feature.weight, 10.0, 0.5);
+    if (feature.event == sim::Event::kL1dMiss) {
+      EXPECT_NEAR(feature.weight, 10.0, 0.5);
+    }
     if (feature.event == sim::Event::kMemLoadLocalDram) {
       EXPECT_NEAR(feature.weight, 200.0, 5.0);
     }

@@ -57,15 +57,12 @@ TEST(Imbalance, DetectsMasterTouchMistakeEndToEnd) {
 
   auto run = [&](os::PagePolicy placement) {
     sim::Machine machine(config);
-    os::AddressSpace space(machine.topology());
-    trace::RunnerConfig rc;
-    rc.affinity = os::AffinityPolicy::kScatter;
-    trace::Runner runner(machine, space, rc);
+    trace::Run trial(machine, {.affinity = os::AffinityPolicy::kScatter});
     workloads::StreamParams params;
     params.threads = 4;
     params.elements_per_thread = 1 << 14;
     params.placement = placement;
-    runner.run(workloads::stream_triad_program(params));
+    trial.run(workloads::stream_triad_program(params));
     return node_imbalance(machine);
   };
 

@@ -87,11 +87,10 @@ TEST(RemoteProbe, LiveSessionOverLossyLink) {
   auto config = sim::dual_socket_small(1);
   config.l3.size_bytes = MiB(1);
   sim::Machine machine(config);
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
+  trace::Run run(machine);
   memhist::MemhistOptions options;
   options.slice_cycles = 150000;
-  memhist::MemhistBuilder builder(machine, runner, options);
+  memhist::MemhistBuilder builder(machine, run.runner(), options);
 
   auto pair = util::make_loopback_pair();
   util::FaultyChannel::Config faults;
@@ -105,7 +104,7 @@ TEST(RemoteProbe, LiveSessionOverLossyLink) {
   workloads::MlcParams params;
   params.buffer_bytes = MiB(4);
   params.chase_steps = 80000;
-  const auto result = runner.run(workloads::mlc_program(params));
+  const auto result = run.run(workloads::mlc_program(params));
   builder.finish();
 
   probe.send_hello(machine.nodes());
@@ -126,14 +125,13 @@ TEST(GammaModel, FitsLatencySamplesBetterThanItsNormalMoments) {
   auto config = sim::dual_socket_small(1);
   config.l3.size_bytes = MiB(1);
   sim::Machine machine(config);
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
+  trace::Run run(machine);
   perf::LoadLatencySession session(machine);
   session.arm(100, 4);
   workloads::MlcParams params;
   params.buffer_bytes = MiB(4);
   params.chase_steps = 60000;
-  runner.run(workloads::mlc_program(params));
+  run.run(workloads::mlc_program(params));
   const auto reading = session.disarm();
 
   std::vector<double> latencies;

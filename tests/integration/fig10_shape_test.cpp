@@ -22,14 +22,13 @@ memhist::LatencyHistogram measure(const trace::Program& program,
                                   memhist::HistogramMode mode) {
   const auto config = scaled_config();
   sim::Machine machine(config);
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
+  trace::Run run(machine);
   memhist::MemhistOptions options;
   options.slice_cycles = 200000;
   options.mode = mode;
-  memhist::MemhistBuilder builder(machine, runner, options);
+  memhist::MemhistBuilder builder(machine, run.runner(), options);
   builder.start();
-  runner.run(program);
+  run.run(program);
   auto histogram = builder.finish();
   memhist::annotate_with_machine_levels(histogram, config);
   return histogram;

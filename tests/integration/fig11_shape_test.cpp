@@ -26,11 +26,10 @@ struct Fig11Data {
 const Fig11Data& fig11() {
   static const Fig11Data data = [] {
     sim::Machine machine(sim::hpe_dl580_gen9(1));
-    os::AddressSpace space(machine.topology());
-    trace::Runner runner(machine, space);
-    os::FootprintRecorder recorder(space);
+    trace::Run run(machine);
+    os::FootprintRecorder recorder(run.space());
     phasen::CounterTimeline timeline(machine);
-    runner.add_sampler(150000, [&](Cycles now) {
+    run.runner().add_sampler(150000, [&](Cycles now) {
       recorder.sample(now);
       timeline.sample(now);
     });
@@ -39,7 +38,7 @@ const Fig11Data& fig11() {
     params.regions = 48;
     params.region_bytes = 192 * 1024;
     params.compute_rounds = 24;
-    const auto result = runner.run(workloads::rampup_app_program(params));
+    const auto result = run.run(workloads::rampup_app_program(params));
 
     Fig11Data out;
     out.footprint = recorder.samples();

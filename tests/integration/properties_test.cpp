@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <map>
+#include <ostream>
+#include <string>
 
 #include "os/procfs.hpp"
 #include "sim/presets.hpp"
@@ -29,6 +31,10 @@ struct WorkloadCase {
   const char* name;
   trace::Program (*make)();
 };
+
+// Print a case by name: gtest's default byte dump shows the pointers, which
+// differ between runs and would leak into the discovered test names.
+void PrintTo(const WorkloadCase& workload, std::ostream* os) { *os << workload.name; }
 
 trace::Program make_scan() {
   workloads::CacheScanParams params;
@@ -81,14 +87,13 @@ constexpr WorkloadCase kWorkloads[] = {
 };
 
 class CounterInvariants
-    : public ::testing::TestWithParam<std::tuple<const char*, WorkloadCase>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, WorkloadCase>> {};
 
 TEST_P(CounterInvariants, HoldAfterAnyRun) {
   const auto& [preset, workload] = GetParam();
   sim::Machine machine(sim::preset_by_name(preset));
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
-  runner.run(workload.make());
+  trace::Run run(machine);
+  run.run(workload.make());
 
   const auto t = machine.aggregate_counters();
   using E = sim::Event;
@@ -130,11 +135,11 @@ TEST_P(CounterInvariants, HoldAfterAnyRun) {
 
 INSTANTIATE_TEST_SUITE_P(
     PresetsByWorkload, CounterInvariants,
-    ::testing::Combine(::testing::Values("uma", "dual", "dl580"),
+    ::testing::Combine(::testing::Values(std::string("uma"), std::string("dual"),
+                                         std::string("dl580")),
                        ::testing::ValuesIn(kWorkloads)),
-    [](const ::testing::TestParamInfo<CounterInvariants::ParamType>& info) {
-      return std::string(std::get<0>(info.param)) + "_" +
-             std::get<1>(info.param).name;
+    [](const ::testing::TestParamInfo<CounterInvariants::ParamType>& param_info) {
+      return std::get<0>(param_info.param) + "_" + std::get<1>(param_info.param).name;
     });
 
 // --- run determinism across every workload ---------------------------------
@@ -145,11 +150,8 @@ TEST_P(RunDeterminism, SameSeedSameCounters) {
   const auto& workload = GetParam();
   auto run_once = [&] {
     sim::Machine machine(sim::dual_socket_small(2));
-    os::AddressSpace space(machine.topology());
-    trace::RunnerConfig rc;
-    rc.seed = 1234;
-    trace::Runner runner(machine, space, rc);
-    runner.run(workload.make());
+    trace::Run run(machine, {.seed = 1234});
+    run.run(workload.make());
     return machine.aggregate_counters();
   };
   const auto a = run_once();
@@ -162,8 +164,8 @@ TEST_P(RunDeterminism, SameSeedSameCounters) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, RunDeterminism, ::testing::ValuesIn(kWorkloads),
-                         [](const ::testing::TestParamInfo<WorkloadCase>& info) {
-                           return std::string(info.param.name);
+                         [](const ::testing::TestParamInfo<WorkloadCase>& param_info) {
+                           return std::string(param_info.param.name);
                          });
 
 // --- topology properties across presets ------------------------------------
@@ -206,8 +208,8 @@ TEST_P(TopologyProperties, RemoteLatencyMonotoneInHops) {
 
 INSTANTIATE_TEST_SUITE_P(AllPresets, TopologyProperties,
                          ::testing::Values("uma", "dual", "dl580", "dl580-full", "cube8"),
-                         [](const ::testing::TestParamInfo<const char*>& info) {
-                           std::string name = info.param;
+                         [](const ::testing::TestParamInfo<const char*>& param_info) {
+                           std::string name = param_info.param;
                            for (char& c : name) {
                              if (c == '-') c = '_';
                            }

@@ -25,25 +25,23 @@ TEST(Builder, SliceCyclesForHz) {
 
 TEST(Builder, LadderMustAscend) {
   sim::Machine machine(small_l3());
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
+  trace::Run run(machine);
   MemhistOptions options;
   options.thresholds = {8, 8};
-  EXPECT_THROW(MemhistBuilder(machine, runner, options), CheckError);
+  EXPECT_THROW(MemhistBuilder(machine, run.runner(), options), CheckError);
 }
 
 TEST(Builder, CyclesThroughAllThresholds) {
   sim::Machine machine(small_l3());
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
+  trace::Run run(machine);
   MemhistOptions options;
   options.slice_cycles = 100000;
-  MemhistBuilder builder(machine, runner, options);
+  MemhistBuilder builder(machine, run.runner(), options);
   builder.start();
   workloads::MlcParams params;
   params.buffer_bytes = MiB(4);
   params.chase_steps = 100000;
-  runner.run(workloads::mlc_program(params));
+  run.run(workloads::mlc_program(params));
   builder.finish();
 
   // The run is long enough that every threshold got at least one slice.
@@ -56,16 +54,15 @@ TEST(Builder, CyclesThroughAllThresholds) {
 TEST(Builder, MonotoneThresholdRates) {
   // Counts at-or-above must (statistically) decrease with the threshold.
   sim::Machine machine(small_l3());
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
+  trace::Run run(machine);
   MemhistOptions options;
   options.slice_cycles = 100000;
-  MemhistBuilder builder(machine, runner, options);
+  MemhistBuilder builder(machine, run.runner(), options);
   builder.start();
   workloads::MlcParams params;
   params.buffer_bytes = MiB(4);
   params.chase_steps = 150000;
-  runner.run(workloads::mlc_program(params));
+  run.run(workloads::mlc_program(params));
   builder.finish();
 
   // Tolerance is deliberately loose: thresholds are sampled in *different*
@@ -82,16 +79,15 @@ TEST(Builder, MonotoneThresholdRates) {
 
 TEST(Builder, LocalChasePeaksAtLocalMemory) {
   sim::Machine machine(small_l3());
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
+  trace::Run run(machine);
   MemhistOptions options;
   options.slice_cycles = 100000;
-  MemhistBuilder builder(machine, runner, options);
+  MemhistBuilder builder(machine, run.runner(), options);
   builder.start();
   workloads::MlcParams params;
   params.buffer_bytes = MiB(4);
   params.chase_steps = 150000;
-  runner.run(workloads::mlc_program(params));
+  run.run(workloads::mlc_program(params));
   auto histogram = builder.finish();
 
   const auto peak = histogram.peak_bin();
@@ -105,17 +101,16 @@ TEST(Builder, LocalChasePeaksAtLocalMemory) {
 TEST(Builder, RemoteChasePeaksHigherThanLocal) {
   auto run_chase = [&](sim::NodeId node) {
     sim::Machine machine(small_l3());
-    os::AddressSpace space(machine.topology());
-    trace::Runner runner(machine, space);
+    trace::Run run(machine);
     MemhistOptions options;
     options.slice_cycles = 100000;
-    MemhistBuilder builder(machine, runner, options);
+    MemhistBuilder builder(machine, run.runner(), options);
     builder.start();
     workloads::MlcParams params;
     params.buffer_bytes = MiB(4);
     params.chase_steps = 150000;
     params.target_node = node;
-    runner.run(workloads::mlc_program(params));
+    run.run(workloads::mlc_program(params));
     auto histogram = builder.finish();
     return histogram.bins()[*histogram.peak_bin()].lo;
   };
@@ -155,9 +150,8 @@ TEST(Builder, ExtrapolationScalesWithTotalCycles) {
 
 TEST(Builder, StartFinishStateChecked) {
   sim::Machine machine(small_l3());
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
-  MemhistBuilder builder(machine, runner, MemhistOptions{});
+  trace::Run run(machine);
+  MemhistBuilder builder(machine, run.runner(), MemhistOptions{});
   EXPECT_THROW(builder.finish(), CheckError);
   builder.start();
   EXPECT_THROW(builder.start(), CheckError);
@@ -176,18 +170,17 @@ TEST(Builder, SourceFilteredHistogramSeesOnlyThatSource) {
   config.l3.size_bytes = MiB(1);
   config.memory.jitter_fraction = 0.0;
   sim::Machine machine(config);
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
+  trace::Run run(machine);
   MemhistOptions options;
   options.slice_cycles = 100000;
   options.source_filter = sim::DataSource::kRemoteDram;
-  MemhistBuilder builder(machine, runner, options);
+  MemhistBuilder builder(machine, run.runner(), options);
   builder.start();
   workloads::MlcParams params;
   params.buffer_bytes = MiB(4);
   params.chase_steps = 150000;
   params.target_node = 1;
-  runner.run(workloads::mlc_program(params));
+  run.run(workloads::mlc_program(params));
   const auto histogram = builder.finish();
 
   double below_256 = 0;

@@ -98,11 +98,8 @@ TEST(NumaBalancing, EndToEndRemoteLoadsBecomeLocal) {
 
   auto run = [&](bool balancing) {
     sim::Machine machine(config);
-    AddressSpace space(machine.topology());
-    if (balancing) space.enable_numa_balancing(2);
-    trace::RunnerConfig rc;
-    rc.affinity = AffinityPolicy::kScatter;  // thread 1 -> node 1
-    trace::Runner runner(machine, space, rc);
+    trace::Run trial(machine, {.affinity = AffinityPolicy::kScatter});  // thread 1 -> node 1
+    if (balancing) trial.space().enable_numa_balancing(2);
 
     auto shared = std::make_shared<VirtAddr>(0);
     auto body = [shared](trace::ThreadContext& ctx) -> trace::SimTask {
@@ -124,7 +121,7 @@ TEST(NumaBalancing, EndToEndRemoteLoadsBecomeLocal) {
       }
       co_await ctx.barrier(1);
     };
-    runner.run(trace::Program::homogeneous(2, body));
+    trial.run(trace::Program::homogeneous(2, body));
     struct Out {
       u64 remote;
       u64 migrations;

@@ -392,8 +392,7 @@ TEST(HugePages, EliminatePageWalksEndToEnd) {
 
   auto run = [&](bool huge) {
     sim::Machine machine(config);
-    AddressSpace space(machine.topology());
-    trace::Runner runner(machine, space);
+    trace::Run trial(machine);
     auto body = [huge](trace::ThreadContext& ctx) -> trace::SimTask {
       constexpr usize kPages = 4096;
       const VirtAddr base = huge ? ctx.alloc_huge(kPages * kPageBytes)
@@ -403,7 +402,7 @@ TEST(HugePages, EliminatePageWalksEndToEnd) {
         co_await ctx.load(base + ctx.rng().below(kPages) * kPageBytes);
       }
     };
-    runner.run(trace::Program::single(body));
+    trial.run(trace::Program::single(body));
     return machine.core_counters(0)[sim::Event::kPageWalks];
   };
 

@@ -30,13 +30,12 @@ trace::SimTask steady_work(trace::ThreadContext& ctx) {
 TEST(Multiplex, RotatesThroughGroups) {
   Fixture f;
   sim::Machine machine(f.config);
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
-  MultiplexedSession session(machine, runner, available_events(), 20000);
+  trace::Run run(machine);
+  MultiplexedSession session(machine, run.runner(), available_events(), 20000);
   EXPECT_GE(session.group_count(), 8u);
 
   session.start();
-  runner.run(trace::Program::single(steady_work));
+  run.run(trace::Program::single(steady_work));
   const auto values = session.stop();
   EXPECT_GT(session.rotations(), session.group_count());
 
@@ -55,19 +54,16 @@ TEST(Multiplex, EstimatesNearTruthForSteadyWorkload) {
   // Exact reference run.
   sim::Machine machine(f.config);
   {
-    os::AddressSpace space(machine.topology());
-    trace::Runner runner(machine, space, trace::RunnerConfig{.seed = 1});
+    trace::Run run(machine, {.seed = 1});
     CountingSession exact(machine, {sim::Event::kL1dMiss});
     exact.start();
-    runner.run(trace::Program::single(steady_work));
+    run.run(trace::Program::single(steady_work));
     const double truth = exact.stop()[0].value;
 
-    machine.reset();
-    os::AddressSpace space2(machine.topology());
-    trace::Runner runner2(machine, space2, trace::RunnerConfig{.seed = 1});
-    MultiplexedSession session(machine, runner2, available_events(), 30000);
+    trace::Run run2(machine, {.seed = 1});
+    MultiplexedSession session(machine, run2.runner(), available_events(), 30000);
     session.start();
-    runner2.run(trace::Program::single(steady_work));
+    run2.run(trace::Program::single(steady_work));
     const auto estimates = session.stop();
 
     double estimated = -1;
@@ -83,9 +79,8 @@ TEST(Multiplex, EstimatesNearTruthForSteadyWorkload) {
 TEST(Multiplex, StopWithoutStartThrows) {
   Fixture f;
   sim::Machine machine(f.config);
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
-  MultiplexedSession session(machine, runner, {sim::Event::kCycles}, 1000);
+  trace::Run run(machine);
+  MultiplexedSession session(machine, run.runner(), {sim::Event::kCycles}, 1000);
   EXPECT_THROW(session.stop(), CheckError);
 }
 

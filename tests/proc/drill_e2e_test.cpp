@@ -31,19 +31,16 @@ struct Capture {
 Capture run_capture() {
   Capture capture;
   sim::Machine machine(sim::hpe_dl580_gen9(4));
-  os::AddressSpace space(machine.topology());
-  trace::RunnerConfig config;
-  config.task_accounting = true;
-  trace::Runner runner(machine, space, config);
+  trace::Run run(machine, {.task_accounting = true});
 
   monitor::SamplerConfig node_config;
   node_config.period = 50000;
-  monitor::Sampler sampler(machine, space, node_config);
-  sampler.attach(runner);
+  monitor::Sampler sampler(machine, run.space(), node_config);
+  sampler.attach(run.runner());
   monitor::TaskSamplerConfig task_config;
   task_config.period = 50000;
   monitor::TaskSampler task_sampler(machine, task_config);
-  task_sampler.attach(runner);
+  task_sampler.attach(run.runner());
 
   workloads::ParallelSortParams params;
   params.elements = 1 << 12;
@@ -51,7 +48,7 @@ Capture run_capture() {
   const trace::Program program = workloads::parallel_sort_program(params);
   capture.registry.add_program(program);
 
-  const trace::RunResult result = runner.run(program);
+  const trace::RunResult result = run.run(program);
   sampler.sample(result.duration);
   task_sampler.sample(result.duration);
   capture.node_samples = sampler.ring().drain();

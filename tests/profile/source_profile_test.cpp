@@ -36,17 +36,16 @@ TEST(SourceProfile, RegionNames) {
 
 TEST(SourceProfile, AttributesCacheScanRegions) {
   sim::Machine machine(sim::uma_single_node(1));
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
+  trace::Run run(machine);
 
   SourceProfile profile;
   profile.register_region(workloads::kTagFill, "fill");
   profile.register_region(workloads::kTagSum, "sum");
-  profile.attach(runner);
+  profile.attach(run.runner());
 
   workloads::CacheScanParams params;
   params.size = 64;
-  runner.run(workloads::cache_scan_program(params));
+  run.run(workloads::cache_scan_program(params));
 
   // Fill = 4096 stores, sum = 4096 loads; attribution must separate them.
   EXPECT_EQ(profile.count(workloads::kTagFill, sim::Event::kStoresRetired), 4096u);
@@ -57,14 +56,13 @@ TEST(SourceProfile, AttributesCacheScanRegions) {
 
 TEST(SourceProfile, DeltasSumToCoreTotals) {
   sim::Machine machine(sim::uma_single_node(1));
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
+  trace::Run run(machine);
   SourceProfile profile;
-  profile.attach(runner);
+  profile.attach(run.runner());
 
   workloads::CacheScanParams params;
   params.size = 48;
-  runner.run(workloads::cache_scan_program(params));
+  run.run(workloads::cache_scan_program(params));
 
   u64 attributed = 0;
   for (const u32 tag : profile.tags()) {
@@ -75,15 +73,14 @@ TEST(SourceProfile, DeltasSumToCoreTotals) {
 
 TEST(SourceProfile, MultiThreadedSortRegions) {
   sim::Machine machine(sim::dual_socket_small(2));
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
+  trace::Run run(machine);
   SourceProfile profile;
-  profile.attach(runner);
+  profile.attach(run.runner());
 
   workloads::ParallelSortParams params;
   params.elements = 1 << 12;
   params.threads = 4;
-  runner.run(workloads::parallel_sort_program(params));
+  run.run(workloads::parallel_sort_program(params));
 
   // All three sort regions show up with cycles attributed.
   EXPECT_GT(profile.count(workloads::kSortTagFill, sim::Event::kCycles), 0u);
@@ -131,11 +128,10 @@ TEST(SourceProfile, JsonExport) {
 TEST(SourceProfile, NoSinkNoCost) {
   // Without attach(), tagging is a no-op and nothing is recorded.
   sim::Machine machine(sim::uma_single_node(1));
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
+  trace::Run run(machine);
   workloads::CacheScanParams params;
   params.size = 32;
-  EXPECT_NO_THROW(runner.run(workloads::cache_scan_program(params)));
+  EXPECT_NO_THROW(run.run(workloads::cache_scan_program(params)));
 }
 
 }  // namespace

@@ -91,7 +91,9 @@ TEST(Cache, FillOnPresentLineIsNoop) {
   cache.access(5 + 4, false);
   const auto outcome = cache.access(5 + 8, false);
   // One of the two set-0 residents is evicted; if it's line 5 it is dirty.
-  if (outcome.evicted_line == 5u) EXPECT_TRUE(outcome.evicted_dirty);
+  if (outcome.evicted_line == 5u) {
+    EXPECT_TRUE(outcome.evicted_dirty);
+  }
 }
 
 TEST(Cache, ValidLinesAndClear) {

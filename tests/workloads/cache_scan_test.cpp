@@ -15,9 +15,8 @@ struct RunOutcome {
 
 RunOutcome run_scan(const CacheScanParams& params) {
   sim::Machine machine(sim::hpe_dl580_gen9(1));
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
-  const auto result = runner.run(cache_scan_program(params));
+  trace::Run run(machine);
+  const auto result = run.run(cache_scan_program(params));
   return RunOutcome{machine.aggregate_counters(), result.duration};
 }
 
@@ -75,9 +74,8 @@ TEST(CacheScan, FullSizeRowStrideUsesL3Streamer) {
 
 TEST(CacheScan, PhaseMarksEmitted) {
   sim::Machine machine(sim::hpe_dl580_gen9(1));
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
-  const auto result = runner.run(cache_scan_program(small(ScanVariant::kUnitStride)));
+  trace::Run run(machine);
+  const auto result = run.run(cache_scan_program(small(ScanVariant::kUnitStride)));
   ASSERT_EQ(result.phase_marks.size(), 2u);
   EXPECT_EQ(result.phase_marks[0].id, 1u);
   EXPECT_EQ(result.phase_marks[1].id, 2u);

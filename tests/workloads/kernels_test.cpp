@@ -17,29 +17,23 @@ sim::MachineConfig quad() {
 
 TEST(Stream, FirstTouchHasNoRemoteTraffic) {
   sim::Machine machine(quad());
-  os::AddressSpace space(machine.topology());
-  trace::RunnerConfig rc;
-  rc.affinity = os::AffinityPolicy::kScatter;
-  trace::Runner runner(machine, space, rc);
+  trace::Run run(machine, {.affinity = os::AffinityPolicy::kScatter});
   StreamParams params;
   params.threads = 4;
   params.elements_per_thread = 1 << 13;
-  runner.run(stream_triad_program(params));
+  run.run(stream_triad_program(params));
   EXPECT_EQ(machine.aggregate_counters()[sim::Event::kMemLoadRemoteDram], 0u);
 }
 
 TEST(Stream, MasterTouchIsSlowerUnderScatter) {
   auto run_with = [&](os::PagePolicy placement) {
     sim::Machine machine(quad());
-    os::AddressSpace space(machine.topology());
-    trace::RunnerConfig rc;
-    rc.affinity = os::AffinityPolicy::kScatter;
-    trace::Runner runner(machine, space, rc);
+    trace::Run run(machine, {.affinity = os::AffinityPolicy::kScatter});
     StreamParams params;
     params.threads = 4;
     params.elements_per_thread = 1 << 14;
     params.placement = placement;
-    return runner.run(stream_triad_program(params)).duration;
+    return run.run(stream_triad_program(params)).duration;
   };
   const Cycles local = run_with(os::PagePolicy::kFirstTouch);
   const Cycles master = run_with(os::PagePolicy::kBind);
@@ -48,13 +42,12 @@ TEST(Stream, MasterTouchIsSlowerUnderScatter) {
 
 TEST(Stream, TriadTouchesThreeArrays) {
   sim::Machine machine(quad());
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
+  trace::Run run(machine);
   StreamParams params;
   params.threads = 1;
   params.elements_per_thread = 1 << 12;
   params.iterations = 1;
-  runner.run(stream_triad_program(params));
+  run.run(stream_triad_program(params));
   const auto totals = machine.aggregate_counters();
   // Per element: 2 loads + 1 store in the triad, plus 2 init stores.
   EXPECT_GE(totals[sim::Event::kLoadsRetired], 2u << 12);
@@ -63,12 +56,11 @@ TEST(Stream, TriadTouchesThreeArrays) {
 
 TEST(Matmul, BlockingKeepsCacheHitRateHigh) {
   sim::Machine machine(quad());
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
+  trace::Run run(machine);
   MatmulParams params;
   params.n = 64;
   params.block = 16;
-  runner.run(matmul_program(params));
+  run.run(matmul_program(params));
   const auto totals = machine.aggregate_counters();
   const double hit_rate = static_cast<double>(totals[sim::Event::kL1dHit]) /
                           static_cast<double>(totals[sim::Event::kL1dAccess]);
@@ -77,15 +69,12 @@ TEST(Matmul, BlockingKeepsCacheHitRateHigh) {
 
 TEST(Matmul, ParallelRowBandsShareB) {
   sim::Machine machine(quad());
-  os::AddressSpace space(machine.topology());
-  trace::RunnerConfig rc;
-  rc.affinity = os::AffinityPolicy::kScatter;
-  trace::Runner runner(machine, space, rc);
+  trace::Run run(machine, {.affinity = os::AffinityPolicy::kScatter});
   MatmulParams params;
   params.n = 64;
   params.block = 16;
   params.threads = 4;
-  runner.run(matmul_program(params));
+  run.run(matmul_program(params));
   // B is written by thread 0 and read by everyone: remote traffic exists.
   u64 snoops = 0;
   for (u32 node = 0; node < machine.nodes(); ++node) {
@@ -96,13 +85,12 @@ TEST(Matmul, ParallelRowBandsShareB) {
 
 TEST(Gups, RandomUpdatesDefeatCaches) {
   sim::Machine machine(quad());
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
+  trace::Run run(machine);
   GupsParams params;
   params.threads = 2;
   params.table_bytes = MiB(8);
   params.updates_per_thread = 20000;
-  runner.run(gups_program(params));
+  run.run(gups_program(params));
   const auto totals = machine.aggregate_counters();
   const double update_miss_rate =
       static_cast<double>(totals[sim::Event::kL3Miss]) /
@@ -112,15 +100,14 @@ TEST(Gups, RandomUpdatesDefeatCaches) {
 
 TEST(Gups, InterleavedTableSpreadsPages) {
   sim::Machine machine(quad());
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
+  trace::Run run(machine);
   GupsParams params;
   params.threads = 1;
   params.table_bytes = MiB(4);
   params.updates_per_thread = 1000;
   params.placement = os::PagePolicy::kInterleave;
-  runner.run(gups_program(params));
-  const auto pages = space.pages_per_node();
+  run.run(gups_program(params));
+  const auto pages = run.space().pages_per_node();
   for (u32 node = 0; node < machine.nodes(); ++node) {
     EXPECT_GT(pages[node], 200u) << "node " << node;
   }

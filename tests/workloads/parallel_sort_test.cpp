@@ -16,13 +16,12 @@ struct SortOutcome {
 
 SortOutcome run_sort(usize elements, u32 threads) {
   sim::Machine machine(sim::hpe_dl580_gen9(4));
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
+  trace::Run run(machine);
   ParallelSortParams params;
   params.elements = elements;
   params.threads = threads;
-  const auto result = runner.run(parallel_sort_program(params));
-  return SortOutcome{machine.aggregate_counters(), result.duration, space.pages_per_node()};
+  const auto result = run.run(parallel_sort_program(params));
+  return SortOutcome{machine.aggregate_counters(), result.duration, run.space().pages_per_node()};
 }
 
 TEST(ParallelSort, DataLandsOnFillingThreadsNode) {

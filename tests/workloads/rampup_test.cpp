@@ -19,12 +19,11 @@ struct RampOutcome {
 
 RampOutcome run_app(const RampupParams& params) {
   sim::Machine machine(sim::dual_socket_small(1));
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
-  os::FootprintRecorder recorder(space);
-  runner.add_sampler(100000, [&](Cycles now) { recorder.sample(now); });
+  trace::Run run(machine);
+  os::FootprintRecorder recorder(run.space());
+  run.runner().add_sampler(100000, [&](Cycles now) { recorder.sample(now); });
   RampOutcome out;
-  out.result = runner.run(rampup_app_program(params));
+  out.result = run.run(rampup_app_program(params));
   out.footprint = recorder.samples();
   out.counters = machine.aggregate_counters();
   return out;
@@ -72,9 +71,8 @@ TEST(RampupApp, FootprintGrowsThenFlattens) {
 TEST(RampupApp, RampUpIsStoreDominatedComputeIsLoadDominated) {
   // The paper's §IV-C observation: ramp-up events come from allocation/IO.
   sim::Machine machine(sim::dual_socket_small(1));
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
-  const auto result = runner.run(rampup_app_program(default_params()));
+  trace::Run run(machine);
+  const auto result = run.run(rampup_app_program(default_params()));
   Cycles truth = 0;
   for (const auto& mark : result.phase_marks) {
     if (mark.id == 1) truth = mark.timestamp;

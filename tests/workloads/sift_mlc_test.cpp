@@ -21,18 +21,15 @@ sim::MachineConfig small_l3_config() {
 
 TEST(SiftLike, NumaOptimizedKeepsTilesLocal) {
   sim::Machine machine(small_l3_config());
-  os::AddressSpace space(machine.topology());
-  trace::RunnerConfig rc;
-  rc.affinity = os::AffinityPolicy::kScatter;
-  trace::Runner runner(machine, space, rc);
+  trace::Run run(machine, {.affinity = os::AffinityPolicy::kScatter});
   SiftLikeParams params;
   params.threads = 4;
   params.tile_bytes = 256 * 1024;
   params.octaves = 1;
-  runner.run(sift_like_program(params));
+  run.run(sift_like_program(params));
 
   // One tile per node under scatter placement, no remote loads.
-  const auto pages = space.pages_per_node();
+  const auto pages = run.space().pages_per_node();
   for (u32 node = 0; node < 4; ++node) {
     EXPECT_GE(pages[node], params.tile_bytes / kPageBytes) << "node " << node;
   }
@@ -41,19 +38,16 @@ TEST(SiftLike, NumaOptimizedKeepsTilesLocal) {
 
 TEST(SiftLike, NaiveVariantCrossesTheInterconnect) {
   sim::Machine machine(small_l3_config());
-  os::AddressSpace space(machine.topology());
-  trace::RunnerConfig rc;
-  rc.affinity = os::AffinityPolicy::kScatter;
-  trace::Runner runner(machine, space, rc);
+  trace::Run run(machine, {.affinity = os::AffinityPolicy::kScatter});
   SiftLikeParams params;
   params.threads = 4;
   params.tile_bytes = 256 * 1024;
   params.octaves = 1;
   params.numa_optimized = false;  // everything bound to node 0
-  runner.run(sift_like_program(params));
+  run.run(sift_like_program(params));
 
   // All tiles on node 0; other nodes hold at most a few barrier lines.
-  const auto pages = space.pages_per_node();
+  const auto pages = run.space().pages_per_node();
   EXPECT_LE(pages[1] + pages[2] + pages[3], 8u);
   EXPECT_GT(machine.uncore_counters(0)[sim::Event::kUncQpiTxFlits] +
                 machine.uncore_counters(1)[sim::Event::kUncQpiTxFlits] +
@@ -64,13 +58,12 @@ TEST(SiftLike, NaiveVariantCrossesTheInterconnect) {
 
 TEST(SiftLike, ConvolutionIsCacheFriendly) {
   sim::Machine machine(small_l3_config());
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
+  trace::Run run(machine);
   SiftLikeParams params;
   params.threads = 1;
   params.tile_bytes = 512 * 1024;
   params.octaves = 2;
-  runner.run(sift_like_program(params));
+  run.run(sift_like_program(params));
   const auto totals = machine.aggregate_counters();
   const double hit_rate = static_cast<double>(totals[sim::Event::kL1dHit]) /
                           static_cast<double>(totals[sim::Event::kL1dAccess]);
@@ -82,8 +75,7 @@ TEST(MlcRemote, LocalVsRemoteLatency) {
 
   auto median_latency = [&](sim::NodeId target) {
     sim::Machine machine(config);
-    os::AddressSpace space(machine.topology());
-    trace::Runner runner(machine, space);
+    trace::Run run(machine);
     perf::LoadLatencySession session(machine);
     MlcParams params;
     params.buffer_bytes = MiB(8);
@@ -91,7 +83,7 @@ TEST(MlcRemote, LocalVsRemoteLatency) {
     params.chase_steps = 20000;
     params.think_instructions = 24;
     session.arm(1, 8);
-    runner.run(mlc_program(params));
+    run.run(mlc_program(params));
     const auto reading = session.disarm();
     std::vector<Cycles> latencies;
     for (const auto& s : reading.samples) {
@@ -114,12 +106,11 @@ TEST(MlcRemote, LocalVsRemoteLatency) {
 
 TEST(MlcRemote, DefeatsPrefetcher) {
   sim::Machine machine(small_l3_config());
-  os::AddressSpace space(machine.topology());
-  trace::Runner runner(machine, space);
+  trace::Run run(machine);
   MlcParams params;
   params.buffer_bytes = MiB(8);
   params.chase_steps = 20000;
-  runner.run(mlc_program(params));
+  run.run(mlc_program(params));
   const auto totals = machine.aggregate_counters();
   // The sequential *init* phase prefetches (~2 per line); the chase itself
   // must not add more than noise on top of that bound.
