@@ -1,26 +1,21 @@
-// Fleet-scale ingest: can one collector sustain 1k-10k probes, and does
-// the sharded decode path (FleetCollectorConfig::shards >= 2) keep its
-// promise of bit-identical observable state against the sequential
-// oracle while it buys wall time?
+// Fleet-scale ingest: can one collector sustain 1k-10k probes?
 //
-// The harness replays the same simulated fleet twice — shards=1 (the
-// oracle) and shards=N — with an identical probe mix: one third plain v3
-// probes over a lossy FaultyChannel, one third supervised v4 probes that
-// redial through a DisconnectingChannel (mid-frame cuts, retransmission,
-// (epoch, seq) dedup), and one third v6 emit-stamped probes feeding the
-// hop-latency histograms. Every per-probe outcome that the fleet view,
-// health pane, and self-metrics surface can observe — the merged sample
-// timeline, damage ledger, delivery-ledger mirror, and ingest
-// accounting — is folded into one FNV digest per leg; the legs must
-// match exactly.
+// The harness replays a deterministic simulated fleet into one
+// FleetCollector: one third plain v3 probes over a lossy FaultyChannel,
+// one third supervised v4 probes that redial through a
+// DisconnectingChannel (mid-frame cuts, retransmission, (epoch, seq)
+// dedup), and one third v6 emit-stamped probes feeding the hop-latency
+// histograms. Every per-probe outcome that the fleet view, health pane,
+// and self-metrics surface can observe — the merged sample timeline,
+// damage ledger, delivery-ledger mirror, and ingest accounting — is
+// folded into one FNV digest, printed and reported with the frame and
+// merged-sample counts so a change to the collector's observable state
+// shows up as a different digest.
 //
-// Gates (CI): sharded frames/sec >= --throughput-floor, worst per-probe
+// Gates (CI): frames/sec >= --throughput-floor, and worst per-probe
 // ingest p99 <= --p99-ceiling simulated cycles with no histogram
-// overflow, and digest equality. The oracle/sharded speedup is reported
-// but not gated — on a single-core runner the sharded leg can only show
-// coordination overhead, and the identity guarantee is the point of the
-// gate. Results land in BENCH_fleet.json so scripts/bench_trajectory.py
-// archives the trajectory.
+// overflow. Results land in BENCH_fleet.json so
+// scripts/bench_trajectory.py archives the trajectory.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -67,7 +62,7 @@ memhist::wire::MonitorSampleMsg make_sample(util::Xoshiro256ss& rng, usize index
   return sample;
 }
 
-/// Everything a leg's outcome that downstream surfaces can observe,
+/// Everything about the run that downstream surfaces can observe,
 /// folded per probe: timeline, damage, ledger mirror, ingest accounting.
 u64 digest_probe(u64 hash, const fleet::ProbeState& state) {
   auto mix = [&hash](u64 value) {
@@ -110,7 +105,7 @@ u64 digest_probe(u64 hash, const fleet::ProbeState& state) {
   return hash;
 }
 
-struct LegStats {
+struct FleetStats {
   double wall_ms = 0.0;        // streaming loop only, setup excluded
   u64 frames = 0;              // CRC-valid frames decoded, all probes
   u64 delivered = 0;           // exactly-once sequenced deliveries
@@ -126,15 +121,9 @@ struct LegStats {
 enum class Kind { kPlain, kSupervised, kStamped };
 Kind kind_of(usize index) { return static_cast<Kind>(index % 3); }
 
-// One full fleet replay. `label` keys the per-probe obs series so the
-// oracle and sharded legs never share histograms in the global registry.
-LegStats run_leg(const char* label, usize shards, usize probes, usize samples_per_probe,
-                 u32 nodes, u64 seed) {
+FleetStats run_fleet(usize probes, usize samples_per_probe, u32 nodes, u64 seed) {
   obs::EnabledGuard obs_guard(true);
-
-  fleet::FleetCollectorConfig config;
-  config.shards = shards;
-  fleet::FleetCollector collector(config);
+  fleet::FleetCollector collector;
 
   struct PlainLink {
     std::shared_ptr<util::FaultyChannel> tx;
@@ -153,7 +142,7 @@ LegStats run_leg(const char* label, usize shards, usize probes, usize samples_pe
   std::vector<std::unique_ptr<SupLink>> supervised(probes);
 
   for (usize h = 0; h < probes; ++h) {
-    const std::string host = util::format("%s-p%05zu", label, h);
+    const std::string host = util::format("host%06zu", h);
     if (kind_of(h) == Kind::kSupervised) {
       auto link = std::make_unique<SupLink>();
       SupLink* raw = link.get();
@@ -215,7 +204,7 @@ LegStats run_leg(const char* label, usize shards, usize probes, usize samples_pe
     bool busy = false;
     for (usize h = 0; h < probes; ++h) {
       // Every probe replays the same deterministic sample stream; the rng
-      // is re-seeded per (probe, batch) so both legs see identical bytes.
+      // is re-seeded per (probe, batch) so every run sees identical bytes.
       util::Xoshiro256ss rng(seed ^ (h * 0x9e3779b97f4a7c15ull) ^ round);
       if (kind_of(h) == Kind::kSupervised) {
         SupLink& link = *supervised[h];
@@ -253,7 +242,7 @@ LegStats run_leg(const char* label, usize shards, usize probes, usize samples_pe
   }
   const auto stop = std::chrono::steady_clock::now();
 
-  LegStats stats;
+  FleetStats stats;
   stats.wall_ms = std::chrono::duration<double, std::milli>(stop - start).count();
   stats.digest = 14695981039346656037ull;
   for (usize h = 0; h < probes; ++h) {
@@ -280,89 +269,75 @@ int main(int argc, char** argv) {
   i64 probes = 1000;
   i64 samples = 12;
   i64 nodes = 2;
-  i64 shards = 4;
-  double throughput_floor = 20000.0;  // frames/sec, sharded leg
+  double throughput_floor = 20000.0;  // frames/sec
   i64 p99_ceiling = 100000;           // simulated cycles
   std::string out = "BENCH_fleet.json";
 
-  util::Cli cli("Fleet-scale ingest: sharded collector throughput, p99 latency, oracle identity");
+  util::Cli cli("Fleet-scale ingest: collector throughput, p99 latency, state digest");
   cli.add_flag("probes", &probes, "simulated probe hosts (v3/v4/v6 mix)");
   cli.add_flag("samples", &samples, "monitor samples streamed per probe");
   cli.add_flag("nodes", &nodes, "NUMA nodes per telemetry sample");
-  cli.add_flag("shards", &shards, "decode workers for the sharded leg");
   cli.add_flag("throughput-floor", &throughput_floor,
-               "minimum acceptable sharded decode rate in frames/sec (0 = report only)");
+               "minimum acceptable decode rate in frames/sec (0 = report only)");
   cli.add_flag("p99-ceiling", &p99_ceiling,
                "maximum acceptable per-probe ingest p99 in simulated cycles");
   cli.add_flag("out", &out, "path for the BENCH_fleet.json report");
   if (const auto rc = cli.parse_main(argc, argv)) return *rc;
-  if (probes < 3 || probes > 100000 || samples <= 0 || nodes <= 0 || nodes > 64 || shards < 2 ||
-      shards > 256 || p99_ceiling <= 0) {
-    std::fprintf(stderr, "implausible --probes/--samples/--nodes/--shards/--p99-ceiling\n");
+  if (probes < 3 || probes > 100000 || samples <= 0 || nodes <= 0 || nodes > 64 ||
+      p99_ceiling <= 0) {
+    std::fprintf(stderr, "implausible --probes/--samples/--nodes/--p99-ceiling\n");
     return 1;
   }
 
-  const LegStats oracle = run_leg("seq", 1, static_cast<usize>(probes),
-                                  static_cast<usize>(samples), static_cast<u32>(nodes), 42);
-  const LegStats sharded = run_leg("shd", static_cast<usize>(shards), static_cast<usize>(probes),
-                                   static_cast<usize>(samples), static_cast<u32>(nodes), 42);
+  const FleetStats fleet = run_fleet(static_cast<usize>(probes), static_cast<usize>(samples),
+                                     static_cast<u32>(nodes), 42);
 
-  const bool identical = oracle.digest == sharded.digest && oracle.frames == sharded.frames &&
-                         oracle.merged_samples == sharded.merged_samples;
   const double frames_per_sec =
-      sharded.wall_ms > 0.0 ? static_cast<double>(sharded.frames) / (sharded.wall_ms / 1000.0)
-                            : 0.0;
-  const double speedup = sharded.wall_ms > 0.0 ? oracle.wall_ms / sharded.wall_ms : 0.0;
+      fleet.wall_ms > 0.0 ? static_cast<double>(fleet.frames) / (fleet.wall_ms / 1000.0) : 0.0;
   const bool throughput_ok = throughput_floor <= 0.0 || frames_per_sec >= throughput_floor;
-  const bool p99_ok =
-      !sharded.p99_overflow && sharded.p99_worst <= static_cast<double>(p99_ceiling);
-  const bool instrumented = sharded.ingest_observations > 0 && sharded.delivered > 0;
-  const bool pass = identical && throughput_ok && p99_ok && instrumented;
+  const bool p99_ok = !fleet.p99_overflow && fleet.p99_worst <= static_cast<double>(p99_ceiling);
+  const bool instrumented = fleet.ingest_observations > 0 && fleet.delivered > 0;
+  const bool pass = throughput_ok && p99_ok && instrumented;
+  const std::string digest =
+      util::format("%016llx", static_cast<unsigned long long>(fleet.digest));
 
-  util::Table table({"Leg", "Frames", "Merged", "Delivered", "Dup", "Damage", "p99 (cy)",
-                     "Wall"});
-  for (usize column = 1; column <= 7; ++column) table.set_align(column, util::Align::kRight);
-  table.set_title(util::format("fleet scale: %lld probes (v3/v4/v6 mix) x %lld samples, %lld shards",
-                               static_cast<long long>(probes), static_cast<long long>(samples),
-                               static_cast<long long>(shards)));
-  const auto row = [&table](const char* name, const LegStats& leg) {
-    table.add_row({name, util::format("%llu", static_cast<unsigned long long>(leg.frames)),
-                   util::format("%zu", leg.merged_samples),
-                   util::format("%llu", static_cast<unsigned long long>(leg.delivered)),
-                   util::format("%llu", static_cast<unsigned long long>(leg.duplicates)),
-                   util::format("%zu", leg.damage_total),
-                   util::format("%.0f%s", leg.p99_worst, leg.p99_overflow ? "+" : ""),
-                   util::format("%.1f ms", leg.wall_ms)});
-  };
-  row("sequential", oracle);
-  row("sharded", sharded);
+  util::Table table({"Frames", "Merged", "Delivered", "Dup", "Damage", "p99 (cy)", "Wall"});
+  for (usize column = 0; column < 7; ++column) table.set_align(column, util::Align::kRight);
+  table.set_title(util::format("fleet scale: %lld probes (v3/v4/v6 mix) x %lld samples",
+                               static_cast<long long>(probes), static_cast<long long>(samples)));
+  table.add_row({util::format("%llu", static_cast<unsigned long long>(fleet.frames)),
+                 util::format("%zu", fleet.merged_samples),
+                 util::format("%llu", static_cast<unsigned long long>(fleet.delivered)),
+                 util::format("%llu", static_cast<unsigned long long>(fleet.duplicates)),
+                 util::format("%zu", fleet.damage_total),
+                 util::format("%.0f%s", fleet.p99_worst, fleet.p99_overflow ? "+" : ""),
+                 util::format("%.1f ms", fleet.wall_ms)});
   std::fputs(table.render().c_str(), stdout);
-  std::printf("\nobservable state: %s; throughput %.0f frames/sec (floor %.0f): %s; "
-              "ingest p99 %.0f cycles (ceiling %lld): %s; speedup %.2fx\n",
-              identical ? "bit-identical (PASS)" : "DIVERGED (FAIL)", frames_per_sec,
-              throughput_floor, throughput_ok ? "PASS" : "FAIL", sharded.p99_worst,
-              static_cast<long long>(p99_ceiling), p99_ok ? "PASS" : "FAIL", speedup);
+  std::printf("\nstate digest %s (%llu frames, %zu merged samples); "
+              "throughput %.0f frames/sec (floor %.0f): %s; "
+              "ingest p99 %.0f cycles (ceiling %lld): %s\n",
+              digest.c_str(), static_cast<unsigned long long>(fleet.frames),
+              fleet.merged_samples, frames_per_sec, throughput_floor,
+              throughput_ok ? "PASS" : "FAIL", fleet.p99_worst,
+              static_cast<long long>(p99_ceiling), p99_ok ? "PASS" : "FAIL");
 
   util::JsonObject report;
   report["bench"] = "fleet_scale";
   report["probes"] = static_cast<u64>(probes);
   report["samples_per_probe"] = static_cast<u64>(samples);
-  report["shards"] = static_cast<u64>(shards);
-  report["frames_total"] = sharded.frames;
-  report["merged_samples"] = static_cast<u64>(sharded.merged_samples);
-  report["delivered_frames"] = sharded.delivered;
-  report["duplicate_frames"] = sharded.duplicates;
-  report["damage_total"] = static_cast<u64>(sharded.damage_total);
-  report["sequential_wall_ms"] = oracle.wall_ms;
-  report["sharded_wall_ms"] = sharded.wall_ms;
-  report["speedup"] = speedup;
+  report["state_digest"] = digest;
+  report["frames_total"] = fleet.frames;
+  report["merged_samples"] = static_cast<u64>(fleet.merged_samples);
+  report["delivered_frames"] = fleet.delivered;
+  report["duplicate_frames"] = fleet.duplicates;
+  report["damage_total"] = static_cast<u64>(fleet.damage_total);
+  report["wall_ms"] = fleet.wall_ms;
   report["frames_per_sec"] = frames_per_sec;
   report["throughput_floor_frames_per_sec"] = throughput_floor;
-  report["ingest_p99_cycles"] = sharded.p99_worst;
-  report["ingest_p99_overflow"] = sharded.p99_overflow;
+  report["ingest_p99_cycles"] = fleet.p99_worst;
+  report["ingest_p99_overflow"] = fleet.p99_overflow;
   report["p99_ceiling_cycles"] = static_cast<u64>(p99_ceiling);
-  report["ingest_observations"] = sharded.ingest_observations;
-  report["state_identical"] = identical;
+  report["ingest_observations"] = fleet.ingest_observations;
   report["pass"] = pass;
   util::write_file(out, util::Json(std::move(report)).dump(2) + "\n");
   std::printf("wrote %s\n", out.c_str());

@@ -173,7 +173,6 @@ void write_self_exports(const std::string& prom_path, const std::string& json_pa
 
 struct FleetFlags {
   usize hosts = 0;
-  usize shards = 1;  // decode workers; 1 = sequential collector
   std::string workload;
   std::string preset;
   u32 threads = 4;
@@ -308,12 +307,11 @@ fleet::FleetViewOptions make_fleet_view_options(const FleetFlags& flags) {
 // column; --die-round parks host00 (no pump, no sends) for a stretch of
 // rounds so the view demonstrates a probe dying and returning.
 int run_supervised_fleet(const FleetFlags& flags, const std::vector<HostSession>& hosts) {
-  fleet::FleetCollectorConfig collector_config;
-  collector_config.shards = flags.shards;
-  collector_config.liveness.stale_after = flags.period * 4;
-  collector_config.liveness.dead_after = flags.period * 12;
-  collector_config.liveness.dwell = 2;
-  fleet::FleetCollector collector(collector_config);
+  resilience::LivenessConfig liveness;
+  liveness.stale_after = flags.period * 4;
+  liveness.dead_after = flags.period * 12;
+  liveness.dwell = 2;
+  fleet::FleetCollector collector(liveness);
 
   struct Link {
     std::unique_ptr<resilience::SupervisedProbe> probe;
@@ -502,9 +500,7 @@ int run_fleet(const FleetFlags& flags) {
   // Phase 2: replay every session concurrently over loopback — through
   // fault injection when requested — into the fleet collector, refreshing
   // the merged view as the streams interleave.
-  fleet::FleetCollectorConfig collector_config;
-  collector_config.shards = flags.shards;
-  fleet::FleetCollector collector(collector_config);
+  fleet::FleetCollector collector;
   struct Link {
     std::shared_ptr<util::FaultyChannel> tx;
     memhist::Probe probe;
@@ -633,7 +629,6 @@ int main(int argc, char** argv) {
   i64 refresh_every = 4;
   i64 read_cost = 0;
   i64 fleet = 0;
-  i64 shards = 1;
   double fault_drop = 0.0;
   double fault_corrupt = 0.0;
   bool supervise = false;
@@ -661,8 +656,6 @@ int main(int argc, char** argv) {
   cli.add_flag("refresh-every", &refresh_every, "sampling periods per view refresh");
   cli.add_flag("read-cost", &read_cost, "simulated cycles charged per sample (models an agent)");
   cli.add_flag("fleet", &fleet, "simulate N probe hosts and render the merged fleet view");
-  cli.add_flag("shards", &shards,
-               "fleet mode: decode the probe channels on N worker threads (1 = sequential)");
   cli.add_flag("fault-drop", &fault_drop, "fleet mode: per-frame drop probability in transit");
   cli.add_flag("fault-corrupt", &fault_corrupt, "fleet mode: per-frame corruption probability");
   cli.add_flag("supervise", &supervise,
@@ -713,8 +706,6 @@ int main(int argc, char** argv) {
     if ((supervise || fault_disconnect > 0 || die_round > 0) && fleet <= 0) {
       throw util::CliError("--supervise/--fault-disconnect/--die-round require --fleet=N");
     }
-    if (shards < 1 || shards > 256) throw util::CliError("--shards must be within [1, 256]");
-    if (shards > 1 && fleet <= 0) throw util::CliError("--shards=N requires --fleet=N");
     if (fault_disconnect > 0 && !supervise) {
       throw util::CliError("--fault-disconnect needs --supervise (a plain probe cannot resume)");
     }
@@ -759,7 +750,6 @@ int main(int argc, char** argv) {
     if (fleet > 0) {
       FleetFlags flags;
       flags.hosts = static_cast<usize>(fleet);
-      flags.shards = static_cast<usize>(shards);
       flags.workload = workload;
       flags.preset = preset;
       flags.threads = static_cast<u32>(threads);

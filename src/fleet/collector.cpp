@@ -12,6 +12,17 @@ namespace npat::fleet {
 
 namespace wire = memhist::wire;
 
+namespace {
+
+/// A CRC-valid frame the collector cannot use.
+void count_unexpected(ProbeState& state) {
+  ++state.damage.unexpected_frames;
+  NPAT_OBS_COUNT("npat_fleet_unexpected_frames_total",
+                 "Valid frames the fleet collector could not merge", 1);
+}
+
+}  // namespace
+
 usize FleetView::hosts_ended() const noexcept {
   usize count = 0;
   for (const HostRow& host : hosts) count += host.ended ? 1 : 0;
@@ -41,10 +52,9 @@ usize FleetCollector::add_probe(std::shared_ptr<util::ByteChannel> channel,
                                 std::string fallback_host_id) {
   NPAT_CHECK_MSG(channel != nullptr, "fleet probe needs a channel");
   auto probe = std::make_unique<PerProbe>(std::move(channel));
-  probe->liveness = resilience::LivenessTracker(config_.liveness);
+  probe->liveness = resilience::LivenessTracker(liveness_);
   probe->state.host_id = fallback_host_id.empty() ? util::format("probe%zu", probes_.size())
                                                   : std::move(fallback_host_id);
-  fronts_.push_back(&probe->front);
   probes_.push_back(std::move(probe));
   NPAT_OBS_COUNT("npat_fleet_probes_total", "Probe channels registered with a FleetCollector", 1);
   return probes_.size() - 1;
@@ -66,49 +76,12 @@ usize FleetCollector::poll(Cycles now) {
   NPAT_OBS_SPAN("fleet.poll");
   clock_ = std::max(clock_, now);
   usize merged = 0;
-  if (config_.shards <= 1 || probes_.size() <= 1) {
-    // Sequential oracle: front + merge inline, per probe, in index order.
-    for (auto& probe : probes_) {
-      merged += apply_batch(*probe, probe->front.collect(clock_));
-      finish_poll(*probe);
-    }
-  } else {
-    // Sharded: workers run the fronts in parallel; the merge stage
-    // consumes batches in probe-index order, so every observable effect
-    // (state, registry, flight ring, acks) lands in oracle order.
-    ensure_pool();
-    pool_->begin_round(clock_, fronts_);
-    for (usize index = 0; index < probes_.size(); ++index) {
-      PerProbe& probe = *probes_[index];
-      merged += apply_batch(probe, pool_->pop(index));
-      finish_poll(probe);
-    }
-    if (obs::enabled()) publish_shard_gauges();
+  for (auto& probe : probes_) {
+    merged += collect(*probe);
+    finish_poll(*probe);
   }
   samples_merged_ += merged;
   return merged;
-}
-
-void FleetCollector::ensure_pool() {
-  if (pool_ != nullptr) return;
-  pool_ = std::make_unique<ShardPool>(config_.shards, config_.ring_capacity);
-  introspect::flight().record(
-      introspect::FlightKind::kNote, clock_, "fleet",
-      util::format("shard pool started: %zu decode workers", config_.shards));
-}
-
-void FleetCollector::publish_shard_gauges() {
-  // How far each worker's decode ran ahead of the merge stage this round:
-  // the high-water occupancy of its handoff ring (capacity = the
-  // backpressure bound).
-  obs::Registry& registry = obs::metrics();
-  for (usize shard = 0; shard < pool_->shards(); ++shard) {
-    obs::Gauge& gauge = registry.gauge(
-        obs::labeled_name("npat_introspect_shard_ring_depth",
-                          {{"shard", util::format("%zu", shard)}}),
-        "High-water SPSC ring occupancy of a decode shard in the last poll");
-    gauge.set(static_cast<double>(pool_->ring_high_water(shard)));
-  }
 }
 
 void FleetCollector::reattach_probe(usize index, std::shared_ptr<util::ByteChannel> channel) {
@@ -116,13 +89,18 @@ void FleetCollector::reattach_probe(usize index, std::shared_ptr<util::ByteChann
   NPAT_CHECK_MSG(channel != nullptr, "fleet reattach needs a channel");
   PerProbe& probe = *probes_[index];
   // Fold whatever the dying connection still buffered, then retire its
-  // decoder: finish_collect() flushes a frame truncated mid-disconnect
-  // into the damage tally instead of leaving it pending forever. Runs
-  // inline — reattach happens between polls, when the workers are parked.
-  samples_merged_ += apply_batch(probe, probe.front.collect(clock_));
+  // decoder: finish() flushes a frame truncated mid-disconnect into the
+  // damage tally instead of leaving it pending forever, and the retiring
+  // decoder's tallies carry forward so accounting stays cumulative.
+  samples_merged_ += collect(probe);
   finish_poll(probe);
-  samples_merged_ += apply_batch(probe, probe.front.finish_collect(clock_));
-  probe.front.adopt_channel(std::move(channel));
+  probe.decoder.finish();
+  samples_merged_ += process(probe);
+  probe.carried.dropped_frames += probe.decoder.dropped_frames();
+  probe.carried.resyncs += probe.decoder.resyncs();
+  probe.carried.truncated_flushes += probe.decoder.truncated_flushes();
+  probe.channel = std::move(channel);
+  probe.decoder = wire::Decoder{};
   ++probe.state.reattaches;
   republish(probe);
   NPAT_OBS_COUNT("npat_fleet_reattaches_total",
@@ -132,39 +110,123 @@ void FleetCollector::reattach_probe(usize index, std::shared_ptr<util::ByteChann
                               "channel swapped under the slot");
 }
 
-usize FleetCollector::apply_batch(PerProbe& probe, ShardBatch&& batch) {
+usize FleetCollector::collect(PerProbe& probe) {
+  for (;;) {
+    const auto bytes = probe.channel->recv(4096);
+    if (bytes.empty()) break;
+    probe.decoder.feed(bytes);
+  }
+  // Drained and closed: a partial frame can never complete. Let the
+  // decoder flush and count the truncation (same EOF handling as the
+  // single-probe GuiCollector and monitor::decode_stream).
+  if (probe.channel->closed()) probe.decoder.finish();
+  return process(probe);
+}
+
+usize FleetCollector::process(PerProbe& probe) {
   ProbeState& state = probe.state;
-  // Any CRC-valid frame proves the probe is alive, duplicates included —
-  // a retransmission is still a working transport.
-  if (batch.frames_decoded > 0) probe.liveness.heard(clock_);
-  state.pipeline.frames += batch.frames_decoded;
-  if (batch.saw_supervised) state.supervised = true;
   usize merged = 0;
-  for (BatchItem& item : batch.items) {
-    switch (item.kind) {
-      case BatchItem::Kind::kFold:
-        if (item.has_dwell) observe_dwell(probe, item.dwell);
-        merged += fold(probe, item.message);
-        break;
-      case BatchItem::Kind::kIngest:
-        observe_ingest(probe, item.ingest_latency);
-        break;
-      case BatchItem::Kind::kHeartbeat:
-        ++state.heartbeats;
-        break;
-      case BatchItem::Kind::kResume:
+  while (auto message = probe.decoder.poll()) {
+    // Any CRC-valid frame proves the probe is alive, duplicates included —
+    // a retransmission is still a working transport.
+    probe.liveness.heard(clock_);
+    ++state.pipeline.frames;
+    if (const auto* envelope = std::get_if<wire::SequencedMsg>(&*message)) {
+      state.supervised = true;
+      const resilience::Admit admit = probe.ledger.admit(envelope->epoch, envelope->seq);
+      if (admit == resilience::Admit::kDuplicate) {
+        continue;  // ledger counted it; exactly-once means fold at most once
+      }
+      if (admit == resilience::Admit::kEpochReset) {
+        // A new incarnation took over. Frames of the dead epoch stuck
+        // behind a gap will never become contiguous; fold what we hold in
+        // sequence order (best effort) before adopting the new numbering.
+        merged += flush_pending(probe);
+      }
+      std::optional<wire::Message> inner = wire::unwrap_sequenced(*envelope);
+      if (inner) {
+        // An emit-stamped payload observes ingest latency here — decode
+        // time — then sheds the annotation so the reorder stage and
+        // fold() see the bare data frame.
+        if (const auto* stamped = std::get_if<wire::StampedMsg>(&*inner)) {
+          observe_ingest(probe, stamped->emit_timestamp);
+          std::optional<wire::Message> data = wire::unwrap_stamped(*stamped);
+          if (data) {
+            inner = std::move(data);
+          } else {
+            inner.reset();
+          }
+        }
+      }
+      if (!inner) {
+        // The outer CRC already vouched for these bytes, so a bad inner
+        // payload is a malformed sender, not transport damage — but it is
+        // still a frame this collector could not use.
+        count_unexpected(state);
+      } else {
+        // Reorder stage: even a frame that is contiguous right now goes
+        // through `pending` so delivery order to fold() is always
+        // sequence order, not arrival order.
+        probe.pending.emplace(envelope->seq, PerProbe::Pending{std::move(*inner), clock_});
+      }
+      merged += drain_in_order(probe);
+    } else if (const auto* stamped = std::get_if<wire::StampedMsg>(&*message)) {
+      // A bare stamped frame: an unsupervised (plain memhist::Probe)
+      // stream opted into emit stamping without sequence envelopes.
+      observe_ingest(probe, stamped->emit_timestamp);
+      if (std::optional<wire::Message> data = wire::unwrap_stamped(*stamped)) {
+        merged += fold(probe, *data);
+      } else {
+        count_unexpected(state);
+      }
+    } else if (std::get_if<wire::Heartbeat>(&*message) != nullptr) {
+      state.supervised = true;
+      ++state.heartbeats;
+    } else if (const auto* resume = std::get_if<wire::Resume>(&*message)) {
+      if (resume->role == wire::kResumeProbe) {
+        state.supervised = true;
         ++state.resumes;
         probe.ack_due = true;  // reply even when the floor is unchanged
-        probe.resume_epoch = item.resume_epoch;
-        break;
-      case BatchItem::Kind::kUnexpected:
-        ++state.damage.unexpected_frames;
-        NPAT_OBS_COUNT("npat_fleet_unexpected_frames_total",
-                       "Valid frames the fleet collector could not merge", 1);
-        break;
+        probe.resume_epoch = resume->epoch;
+      } else {
+        // A collector-role ack echoed back at a collector is nonsense.
+        count_unexpected(state);
+      }
+    } else {
+      merged += fold(probe, *message);
     }
   }
   return merged;
+}
+
+usize FleetCollector::drain_in_order(PerProbe& probe) {
+  // Folds the contiguous run the ledger floor just certified, in sequence
+  // order. A sequence missing from `pending` inside that run was admitted
+  // but unusable (unwrap failure, already counted as unexpected) — skip it.
+  usize merged = 0;
+  while (probe.folded_floor < probe.ledger.floor()) {
+    const u32 next = probe.folded_floor + 1;
+    auto it = probe.pending.find(next);
+    if (it != probe.pending.end()) {
+      merged += fold_pending(probe, it->second);
+      probe.pending.erase(it);
+    }
+    probe.folded_floor = next;
+  }
+  return merged;
+}
+
+usize FleetCollector::flush_pending(PerProbe& probe) {
+  usize merged = 0;
+  for (auto& [seq, pending] : probe.pending) merged += fold_pending(probe, pending);
+  probe.pending.clear();
+  probe.folded_floor = 0;
+  return merged;
+}
+
+usize FleetCollector::fold_pending(PerProbe& probe, PerProbe::Pending& pending) {
+  observe_dwell(probe, clock_ > pending.decoded_at ? clock_ - pending.decoded_at : 0);
+  return fold(probe, pending.message);
 }
 
 void FleetCollector::finish_poll(PerProbe& probe) {
@@ -194,9 +256,7 @@ usize FleetCollector::fold(PerProbe& probe, const wire::Message& message) {
       // A CRC-valid frame whose shape contradicts the stream so far:
       // merging it would poison every later aggregation, so count it as
       // damage instead.
-      ++state.damage.unexpected_frames;
-      NPAT_OBS_COUNT("npat_fleet_unexpected_frames_total",
-                     "Valid frames the fleet collector could not merge", 1);
+      count_unexpected(state);
       return 0;
     }
     monitor::Sample merged_sample = monitor::from_wire(*sample);
@@ -219,9 +279,7 @@ usize FleetCollector::fold(PerProbe& probe, const wire::Message& message) {
   } else {
     // ThresholdReadings (or future types) are valid v2 frames with no
     // place in a telemetry merge — counted, not silently ignored.
-    ++state.damage.unexpected_frames;
-    NPAT_OBS_COUNT("npat_fleet_unexpected_frames_total",
-                   "Valid frames the fleet collector could not merge", 1);
+    count_unexpected(state);
   }
   return 0;
 }
@@ -322,7 +380,7 @@ void FleetCollector::attribute_orphans(PerProbe& probe) {
 
 void FleetCollector::maybe_ack(PerProbe& probe) {
   if (!probe.state.supervised) return;
-  const resilience::DeliveryLedger& ledger = probe.front.ledger();
+  const resilience::DeliveryLedger& ledger = probe.ledger;
   u16 epoch;
   u32 floor;
   if (probe.ack_due) {
@@ -342,8 +400,7 @@ void FleetCollector::maybe_ack(PerProbe& probe) {
   ack.role = wire::kResumeCollector;
   ack.epoch = epoch;
   ack.seq = floor;
-  util::ByteChannel* channel = probe.front.channel();
-  if (channel != nullptr && channel->send(wire::encode(wire::Message{ack}))) {
+  if (probe.channel->send(wire::encode(wire::Message{ack}))) {
     // On failure ack_due stays set: the channel is dying and the probe
     // will redial, so the reply is retried on the next connection.
     probe.ack_due = false;
@@ -356,18 +413,16 @@ void FleetCollector::maybe_ack(PerProbe& probe) {
 }
 
 void FleetCollector::republish(PerProbe& probe) {
-  // Re-publish the front's framing tallies (decoder plus anything carried
-  // over from decoders retired by reattach_probe) so per-probe damage
-  // always reconciles exactly with the framing layer, and mirror the
-  // ledger and liveness state into the plain-value ProbeState. Safe even
-  // in sharded mode: the merge stage only reaches a probe's front after
-  // popping its batch, which the worker pushed after finishing the probe.
+  // Re-publish the framing tallies (decoder plus anything carried over
+  // from decoders retired by reattach_probe) so per-probe damage always
+  // reconciles exactly with the framing layer, and mirror the ledger and
+  // liveness state into the plain-value ProbeState.
   ProbeState& state = probe.state;
-  const ProbeDamage framing = probe.front.damage();
-  state.damage.dropped_frames = framing.dropped_frames;
-  state.damage.resyncs = framing.resyncs;
-  state.damage.truncated_flushes = framing.truncated_flushes;
-  const resilience::DeliveryLedger& ledger = probe.front.ledger();
+  state.damage.dropped_frames = probe.carried.dropped_frames + probe.decoder.dropped_frames();
+  state.damage.resyncs = probe.carried.resyncs + probe.decoder.resyncs();
+  state.damage.truncated_flushes =
+      probe.carried.truncated_flushes + probe.decoder.truncated_flushes();
+  const resilience::DeliveryLedger& ledger = probe.ledger;
   state.epoch = ledger.epoch();
   state.seq_floor = ledger.floor();
   state.highest_seq = ledger.highest_seen();
@@ -377,7 +432,7 @@ void FleetCollector::republish(PerProbe& probe) {
   state.epoch_resets = ledger.epoch_resets();
 
   introspect::PipelineStats& pipeline = state.pipeline;
-  pipeline.pending_depth = probe.front.pending_depth();
+  pipeline.pending_depth = probe.pending.size();
   pipeline.orphan_depth = probe.orphans.size();
   pipeline.frames_per_mcycle =
       clock_ > 0 ? 1e6 * static_cast<double>(pipeline.frames) / static_cast<double>(clock_) : 0.0;
@@ -449,7 +504,16 @@ void FleetCollector::retire_metrics(const std::string& host) {
   }
 }
 
-void FleetCollector::observe_ingest(PerProbe& probe, Cycles latency) {
+void FleetCollector::observe_ingest(PerProbe& probe, Cycles emit_timestamp) {
+  // First stamp aligns the probe's emit clock to the collector clock (the
+  // same origin-alignment trick sample timestamps use), so latencies are
+  // relative to the fastest hop ever seen, immune to clock skew.
+  if (!probe.stamp_offset) {
+    probe.stamp_offset = static_cast<i64>(emit_timestamp) - static_cast<i64>(clock_);
+  }
+  const i64 lag =
+      static_cast<i64>(clock_) - (static_cast<i64>(emit_timestamp) - *probe.stamp_offset);
+  const Cycles latency = lag > 0 ? static_cast<Cycles>(lag) : 0;
   introspect::PipelineStats& pipeline = probe.state.pipeline;
   ++pipeline.stamped_frames;
   ++pipeline.ingest_observations;

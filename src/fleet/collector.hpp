@@ -8,12 +8,12 @@
 // aligned to a common origin so hosts with skewed clocks merge cleanly.
 #pragma once
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "fleet/shard.hpp"
 #include "introspect/health.hpp"
 #include "memhist/wire.hpp"
 #include "monitor/aggregate.hpp"
@@ -26,6 +26,31 @@
 #include "util/types.hpp"
 
 namespace npat::fleet {
+
+/// Transport damage attributed to one probe's stream. The first three
+/// counters mirror that probe's wire::Decoder tallies exactly;
+/// `unexpected_frames` counts frames that decoded fine but carry a type
+/// the fleet layer has no use for (e.g. memhist ThresholdReadings in a
+/// telemetry stream) or a node count that contradicts the stream so far.
+struct ProbeDamage {
+  usize dropped_frames = 0;
+  usize resyncs = 0;
+  usize truncated_flushes = 0;
+  usize unexpected_frames = 0;
+  /// Per-task sample rows (v5) whose task id had no TaskTable registration
+  /// when they arrived. Held — not dropped — and attributed retroactively
+  /// if the registration shows up late; `orphans_attributed` counts the
+  /// rescues. Neither joins total(): orphaning is an ordering hazard of a
+  /// healthy transport, and keeping it out preserves the reconciliation
+  /// identity total() == dropped + unexpected that v1-v4 tests pin.
+  usize orphaned_task_rows = 0;
+  usize orphans_attributed = 0;
+
+  usize total() const noexcept {
+    return dropped_frames + unexpected_frames;  // resyncs/truncations are subsets of drops
+  }
+  friend bool operator==(const ProbeDamage&, const ProbeDamage&) = default;
+};
 
 /// Everything the collector knows about one probe stream.
 struct ProbeState {
@@ -98,38 +123,17 @@ struct FleetView {
   u64 duplicates_total() const noexcept;
 };
 
-/// Collector tuning. `shards == 1` (the default) keeps every poll on the
-/// caller's thread — the sequential oracle; `shards >= 2` spins that many
-/// persistent decode workers on first poll and fans the probe channels
-/// out across them (probe index mod shards), with results merged back on
-/// the caller's thread in probe-index order so all observable state is
-/// bit-for-bit identical to the oracle.
-struct FleetCollectorConfig {
-  usize shards = 1;
-  /// Bounded SPSC handoff depth per worker; a full ring blocks the worker
-  /// (backpressure), it never drops or reorders batches.
-  usize ring_capacity = 64;
-  /// Stale/dead thresholds and dwell applied to supervised probes (the
-  /// defaults suit the simulated-cycle clock of the tests).
-  resilience::LivenessConfig liveness;
-};
-
 /// Merges several probe streams. The public API is cooperative like the
 /// memhist GuiCollector: call poll() whenever channel data may be
-/// pending. Internally the decode/dedup/reorder front half of each
-/// probe's pipeline may run on a shard worker (see FleetCollectorConfig);
-/// between polls the workers are parked, so probes may freely use their
-/// channels. The collector itself must be polled from one thread.
+/// pending. Each probe runs one sequential pipeline per poll — drain,
+/// decode, dedup by (epoch, seq), reorder, fold — in probe-index order.
+/// The collector itself must be polled from one thread.
 class FleetCollector {
  public:
-  FleetCollector() = default;
-  explicit FleetCollector(const FleetCollectorConfig& config) : config_(config) {
-    if (config_.shards == 0) config_.shards = 1;
-  }
-  /// Legacy convenience: liveness tuning only, sequential collection.
-  explicit FleetCollector(const resilience::LivenessConfig& liveness_config) {
-    config_.liveness = liveness_config;
-  }
+  /// `liveness` sets the stale/dead thresholds and dwell applied to
+  /// supervised probes (the defaults suit the simulated-cycle clock of
+  /// the tests).
+  explicit FleetCollector(resilience::LivenessConfig liveness = {}) : liveness_(liveness) {}
 
   /// Registers a probe channel; returns its index. `fallback_host_id`
   /// names the probe until (or unless) a v3 Hello carries its own id;
@@ -174,19 +178,36 @@ class FleetCollector {
   /// Monotonic collector clock (the largest `now` ever passed to poll()).
   Cycles clock() const noexcept { return clock_; }
 
-  /// Configured shard count (1 = sequential oracle).
-  usize shards() const noexcept { return config_.shards; }
-
  private:
-  /// The merge-side half of one probe: front (worker-safe decode/dedup/
-  /// reorder, see fleet/shard.hpp) plus everything that must stay on the
-  /// polling thread — ProbeState, liveness, ack bookkeeping, metric
-  /// handles, flight narration and the orphan-row pool.
+  /// One probe's pipeline: the channel and its decoder, the delivery
+  /// ledger and reorder stage, then ProbeState, liveness, ack
+  /// bookkeeping, metric handles, flight narration and the orphan pool.
   struct PerProbe {
-    explicit PerProbe(std::shared_ptr<util::ByteChannel> channel)
-        : front(std::move(channel)) {}
+    explicit PerProbe(std::shared_ptr<util::ByteChannel> channel_in)
+        : channel(std::move(channel_in)) {}
 
-    ProbeFront front;
+    struct Pending {
+      memhist::wire::Message message;
+      Cycles decoded_at = 0;
+    };
+
+    std::shared_ptr<util::ByteChannel> channel;
+    memhist::wire::Decoder decoder;
+    ProbeDamage carried;  // framing tallies of decoders retired by reattach_probe()
+    resilience::DeliveryLedger ledger;
+    /// Reorder stage: sequenced frames admitted ahead of a gap wait here
+    /// and fold only once every lower sequence has arrived, so the merged
+    /// stream is the *sent* stream even when retransmissions fill gaps
+    /// late. Drained in lockstep with the ledger floor; bounded by the
+    /// probe's replay capacity (the gap can never be wider). `decoded_at`
+    /// is the collector clock at decode, so delivery observes the frame's
+    /// reorder-stage dwell.
+    std::map<u32, Pending> pending;
+    u32 folded_floor = 0;  // highest sequence already folded (in order)
+    /// introspect: emit-clock alignment — the first stamped frame defines
+    /// the offset, so the first observation is latency 0 by construction.
+    std::optional<i64> stamp_offset;
+
     ProbeState state;
     resilience::LivenessTracker liveness;
     bool ack_due = false;   // a Resume handshake awaits its reply
@@ -216,13 +237,18 @@ class FleetCollector {
     std::vector<OrphanRow> orphans;
   };
 
-  /// Replays one front batch into the probe's merge-side state, in item
-  /// order — the exact effect sequence the sequential collector produces.
-  usize apply_batch(PerProbe& probe, ShardBatch&& batch);
+  /// Drains the channel (flushing a truncated frame once it closed) and
+  /// processes what decoded. Returns the samples merged.
+  usize collect(PerProbe& probe);
+  /// Decode → dedup → reorder → fold for every frame the decoder holds.
+  usize process(PerProbe& probe);
+  /// Folds the contiguous run the ledger floor just certified.
+  usize drain_in_order(PerProbe& probe);
+  /// Folds everything the reorder stage holds (a new epoch took over).
+  usize flush_pending(PerProbe& probe);
+  usize fold_pending(PerProbe& probe, PerProbe::Pending& pending);
   /// Per-probe poll tail: ack, republish, liveness verdict + flight.
   void finish_poll(PerProbe& probe);
-  void ensure_pool();
-  void publish_shard_gauges();
   usize fold(PerProbe& probe, const memhist::wire::Message& message);
   void fold_task_sample(PerProbe& probe, const memhist::wire::TaskSampleMsg& message);
   void attribute_orphans(PerProbe& probe);
@@ -230,15 +256,13 @@ class FleetCollector {
   void republish(PerProbe& probe);
   void ensure_metrics(PerProbe& probe);
   void retire_metrics(const std::string& host);
-  void observe_ingest(PerProbe& probe, Cycles latency);
+  void observe_ingest(PerProbe& probe, Cycles emit_timestamp);
   void observe_dwell(PerProbe& probe, Cycles dwell);
   void narrate_flight(PerProbe& probe);
 
-  FleetCollectorConfig config_;
+  resilience::LivenessConfig liveness_;
   Cycles clock_ = 0;
   std::vector<std::unique_ptr<PerProbe>> probes_;
-  std::vector<ProbeFront*> fronts_;  // parallel to probes_, for the pool
-  std::unique_ptr<ShardPool> pool_;  // lazily spun on the first sharded poll
   usize samples_merged_ = 0;
 };
 

@@ -98,7 +98,7 @@ util::Json FlightRecorder::to_json() const {
     row["subject"] = event.subject;
     row["detail"] = event.detail;
     row["value"] = event.value;
-    events.push_back(std::move(row));
+    events.emplace_back(std::move(row));
   }
   doc["events"] = std::move(events);
   return util::Json(std::move(doc));

@@ -37,13 +37,13 @@ util::Json to_json(std::span<const Sample> samples) {
       node["imc_writes"] = n.imc_writes;
       node["qpi_flits"] = n.qpi_flits;
       node["resident_bytes"] = n.resident_bytes;
-      nodes.push_back(std::move(node));
+      nodes.emplace_back(std::move(node));
     }
     util::JsonObject record;
     record["timestamp"] = sample.timestamp;
     record["footprint_bytes"] = sample.footprint_bytes;
     record["nodes"] = std::move(nodes);
-    list.push_back(std::move(record));
+    list.emplace_back(std::move(record));
   }
   util::JsonObject doc;
   doc["samples"] = std::move(list);
@@ -157,15 +157,15 @@ util::Json to_json_tasks(std::span<const TaskSample> samples, const TaskNameTabl
         util::JsonObject a;
         a["base"] = area.base;
         a["samples"] = area.samples;
-        areas.push_back(std::move(a));
+        areas.emplace_back(std::move(a));
       }
       task["areas"] = std::move(areas);
-      tasks.push_back(std::move(task));
+      tasks.emplace_back(std::move(task));
     }
     util::JsonObject record;
     record["timestamp"] = sample.timestamp;
     record["tasks"] = std::move(tasks);
-    list.push_back(std::move(record));
+    list.emplace_back(std::move(record));
   }
   util::JsonObject doc;
   doc["task_samples"] = std::move(list);

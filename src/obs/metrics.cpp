@@ -252,12 +252,12 @@ util::Json Registry::to_json() const {
           util::JsonObject bucket;
           bucket["le"] = histogram.bounds()[i];
           bucket["count"] = histogram.bucket_count(i);
-          buckets.push_back(std::move(bucket));
+          buckets.emplace_back(std::move(bucket));
         }
         util::JsonObject overflow;
         overflow["le"] = "+Inf";
         overflow["count"] = histogram.bucket_count(histogram.bounds().size());
-        buckets.push_back(std::move(overflow));
+        buckets.emplace_back(std::move(overflow));
         metric["buckets"] = std::move(buckets);
         metric["sum"] = histogram.sum();
         metric["count"] = histogram.count();

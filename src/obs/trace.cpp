@@ -123,7 +123,7 @@ util::Json Tracer::chrome_trace() const {
     args["depth"] = static_cast<u64>(span.depth);
     args["path"] = span.path;
     event["args"] = std::move(args);
-    events.push_back(std::move(event));
+    events.emplace_back(std::move(event));
   }
   for (const InstantEvent& instant : instants_) {
     util::JsonObject event;
@@ -139,7 +139,7 @@ util::Json Tracer::chrome_trace() const {
       args["detail"] = instant.detail;
       event["args"] = std::move(args);
     }
-    events.push_back(std::move(event));
+    events.emplace_back(std::move(event));
   }
   util::JsonObject doc;
   doc["displayTimeUnit"] = "ms";

@@ -7,10 +7,9 @@ namespace npat::util {
 namespace {
 
 /// Shared duplex state: two directed byte queues. The mutex makes a
-/// loopback pair safe to use from two threads (a probe thread sending
-/// while a sharded collector's decode worker drains the other end) — the
-/// socket it stands in for would be. Single-threaded users pay one
-/// uncontended lock per call.
+/// loopback pair safe to use from two threads (a probe and a collector
+/// may run on different threads), as the socket it stands in for would
+/// be. Single-threaded users pay one uncontended lock per call.
 struct LoopbackState {
   std::mutex mutex;
   std::deque<u8> a_to_b;

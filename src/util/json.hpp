@@ -24,6 +24,9 @@ class JsonError : public std::runtime_error {
 };
 
 class Json;
+// Append objects/arrays with emplace_back(std::move(x)), which builds the
+// element in place: push_back moves a temporary Json, and gcc 12 flags
+// that variant move as -Wmaybe-uninitialized (a false positive).
 using JsonArray = std::vector<Json>;
 // std::map keeps keys ordered -> deterministic serialization for tests.
 using JsonObject = std::map<std::string, Json>;
