@@ -90,30 +90,6 @@ std::string Placement::name() const {
   return out;
 }
 
-Placement placement_from_name(const std::string& name, const sim::Topology& topology) {
-  const auto plus = name.find('+');
-  NPAT_CHECK_MSG(plus != std::string::npos,
-                 "placement must be <affinity>+<page policy>, got: " + name);
-  Placement placement;
-  placement.affinity = os::affinity_from_name(name.substr(0, plus));
-  std::string page = name.substr(plus + 1);
-  if (page == "as-is") return placement;
-  if (const auto paren = page.find('('); paren != std::string::npos) {
-    NPAT_CHECK_MSG(page.back() == ')', "malformed bind node in placement: " + name);
-    const std::string digits = page.substr(paren + 1, page.size() - paren - 2);
-    NPAT_CHECK_MSG(!digits.empty() &&
-                       digits.find_first_not_of("0123456789") == std::string::npos,
-                   "malformed bind node in placement: " + name);
-    placement.bind_node = static_cast<sim::NodeId>(std::stoul(digits));
-    page = page.substr(0, paren);
-  }
-  placement.page_policy = os::page_policy_from_name(page);
-  NPAT_CHECK_MSG(*placement.page_policy != os::PagePolicy::kBind ||
-                     placement.bind_node < topology.nodes,
-                 "bind node out of range in placement: " + name);
-  return placement;
-}
-
 std::vector<sim::Event> default_events() {
   return {
       sim::Event::kCycles,           sim::Event::kInstructions,

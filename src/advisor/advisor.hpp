@@ -39,11 +39,6 @@ struct Placement {
   friend bool operator==(const Placement&, const Placement&) = default;
 };
 
-/// Parses a Placement::name() string ("<affinity>+<page policy>", bind
-/// optionally suffixed "(n)"). Hard-errors on unrecognized policies — the
-/// apply path must reject typos, never fall back silently.
-Placement placement_from_name(const std::string& name, const sim::Topology& topology);
-
 /// Counter signature of the profiled compute phase — the evidence every
 /// recommendation cites (the paper's §II indicator set).
 struct CounterSignature {

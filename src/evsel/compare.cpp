@@ -1,8 +1,5 @@
 #include "evsel/compare.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "obs/obs.hpp"
 #include "stats/multiple_comparisons.hpp"
 #include "util/check.hpp"
@@ -29,17 +26,6 @@ const ComparisonRow& Comparison::row(sim::Event event) const {
   NPAT_CHECK_MSG(false, "event not present in comparison");
   static const ComparisonRow kUnreachable{};
   return kUnreachable;
-}
-
-std::vector<ComparisonRow> Comparison::significant_rows(double alpha) const {
-  std::vector<ComparisonRow> out;
-  for (const auto& r : rows) {
-    if (r.significant(alpha)) out.push_back(r);
-  }
-  std::stable_sort(out.begin(), out.end(), [](const ComparisonRow& x, const ComparisonRow& y) {
-    return std::fabs(x.test.relative_delta) > std::fabs(y.test.relative_delta);
-  });
-  return out;
 }
 
 Comparison compare(const Measurement& a, const Measurement& b, const CompareOptions& options) {

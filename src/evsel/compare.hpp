@@ -52,9 +52,6 @@ struct Comparison {
   std::vector<ComparisonRow> rows;  // registry order
 
   const ComparisonRow& row(sim::Event event) const;
-  /// Rows significant at `alpha` (after adjustment), largest |relative
-  /// delta| first.
-  std::vector<ComparisonRow> significant_rows(double alpha = 0.05) const;
 };
 
 struct CompareOptions {

@@ -111,17 +111,6 @@ double CostModel::predict(const Measurement& measurement) const {
   return value;
 }
 
-double CostModel::predict(
-    const std::vector<std::pair<sim::Event, double>>& indicators) const {
-  double value = intercept_;
-  for (const auto& feature : features_) {
-    for (const auto& [event, count] : indicators) {
-      if (event == feature.event) value += feature.weight * count;
-    }
-  }
-  return value;
-}
-
 std::string CostModel::describe() const {
   util::Table table({"indicator", "weight (cost/event)"});
   table.set_title("indicator-to-cost model for " +

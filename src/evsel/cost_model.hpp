@@ -53,8 +53,6 @@ class CostModel {
   /// CheckError, naming the event, when the measurement lacks one of the
   /// model's features.
   double predict(const Measurement& measurement) const;
-  /// Predicted cost from raw per-event values.
-  double predict(const std::vector<std::pair<sim::Event, double>>& indicators) const;
 
   /// R² of the model on its training set.
   double training_r_squared() const noexcept { return r_squared_; }

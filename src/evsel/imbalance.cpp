@@ -21,20 +21,6 @@ double ImbalanceReport::imbalance(u64 NodeLoad::* metric) const {
   return static_cast<double>(max_value) / mean;
 }
 
-sim::NodeId ImbalanceReport::hottest_node() const {
-  NPAT_CHECK_MSG(!nodes.empty(), "empty imbalance report");
-  sim::NodeId best = 0;
-  u64 best_traffic = 0;
-  for (const auto& node : nodes) {
-    const u64 traffic = node.dram_reads + node.dram_writes;
-    if (traffic > best_traffic) {
-      best_traffic = traffic;
-      best = node.node;
-    }
-  }
-  return best;
-}
-
 bool ImbalanceReport::imbalanced(double factor) const {
   return imbalance(&NodeLoad::dram_reads) > factor ||
          imbalance(&NodeLoad::dram_writes) > factor ||

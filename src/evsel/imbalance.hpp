@@ -28,8 +28,6 @@ struct ImbalanceReport {
   /// max/mean of a per-node metric; 1.0 = balanced. Returns 1.0 when the
   /// metric is zero everywhere.
   double imbalance(u64 NodeLoad::* metric) const;
-  /// The hottest node by DRAM traffic.
-  sim::NodeId hottest_node() const;
   /// True if any traffic metric exceeds the threshold factor.
   bool imbalanced(double factor = 1.5) const;
 

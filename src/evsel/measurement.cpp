@@ -15,10 +15,6 @@ void Measurement::add_values(const std::vector<perf::EventValue>& values) {
   for (const auto& value : values) values_[value.event].push_back(value.value);
 }
 
-void Measurement::add_value(sim::Event event, double value) {
-  values_[event].push_back(value);
-}
-
 bool Measurement::has(sim::Event event) const { return values_.count(event) > 0; }
 
 const std::vector<double>& Measurement::samples(sim::Event event) const {
@@ -86,36 +82,6 @@ util::Json Measurement::to_json() const {
   }
   doc["events"] = std::move(events);
   return util::Json(std::move(doc));
-}
-
-Measurement Measurement::from_json(const util::Json& doc) {
-  Measurement m(doc.get_string("label"));
-  if (const util::Json* quarantined = doc.find("quarantined_runs")) {
-    m.quarantined_runs_ = static_cast<usize>(quarantined->as_number());
-  }
-  if (const util::Json* exhausted = doc.find("retry_exhausted_runs")) {
-    m.retry_exhausted_runs_ = static_cast<usize>(exhausted->as_number());
-  }
-  if (const util::Json* trust = doc.find("trust")) {
-    for (const auto& [name, tier] : trust->as_object()) {
-      const auto event = sim::event_by_name(name);
-      if (!event) continue;  // event unknown on this platform
-      m.trust_[*event] = validate::tier_from_name(tier.as_string());
-    }
-  }
-  if (const util::Json* params = doc.find("parameters")) {
-    for (const auto& [name, value] : params->as_object()) {
-      m.set_parameter(name, value.as_number());
-    }
-  }
-  if (const util::Json* events = doc.find("events")) {
-    for (const auto& [name, arr] : events->as_object()) {
-      const auto event = sim::event_by_name(name);
-      if (!event) continue;  // event unknown on this platform
-      for (const auto& v : arr.as_array()) m.add_value(*event, v.as_number());
-    }
-  }
-  return m;
 }
 
 }  // namespace npat::evsel

@@ -32,7 +32,6 @@ class Measurement {
   /// Appends the values of one repetition (possibly a partial event set —
   /// batched collection adds one group at a time).
   void add_values(const std::vector<perf::EventValue>& values);
-  void add_value(sim::Event event, double value);
 
   bool has(sim::Event event) const;
   /// Per-repetition samples for an event (empty if never measured).
@@ -70,7 +69,6 @@ class Measurement {
   bool has_trust_annotations() const noexcept { return !trust_.empty(); }
 
   util::Json to_json() const;
-  static Measurement from_json(const util::Json& doc);
 
  private:
   std::string label_;

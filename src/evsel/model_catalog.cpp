@@ -57,8 +57,6 @@ constexpr ModelEntry kModels[] = {
 
 }  // namespace
 
-std::span<const ModelEntry> model_catalog() { return kModels; }
-
 std::string_view era_name(ModelEra era) {
   switch (era) {
     case ModelEra::kSharedBus: return "Shared bus";

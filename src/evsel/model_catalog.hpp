@@ -4,7 +4,6 @@
 // by bench/fig2_model_timeline as the timeline figure.
 #pragma once
 
-#include <span>
 #include <string>
 #include <string_view>
 
@@ -24,7 +23,6 @@ struct ModelEntry {
   std::string_view note;
 };
 
-std::span<const ModelEntry> model_catalog();
 std::string_view era_name(ModelEra era);
 
 /// ASCII timeline grouped by era, ordered by year (Fig. 2 layout).

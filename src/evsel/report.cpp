@@ -4,7 +4,6 @@
 
 #include "obs/obs.hpp"
 #include "stats/descriptive.hpp"
-#include "util/csv.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -190,72 +189,6 @@ std::string render_measurement(const Measurement& measurement, const ReportOptio
     table.add_styled_row(std::move(cells));
   }
   return table.render();
-}
-
-util::Json comparison_to_json(const Comparison& comparison) {
-  util::JsonObject doc;
-  doc["a"] = comparison.label_a;
-  doc["b"] = comparison.label_b;
-  doc["quarantined_a"] = static_cast<double>(comparison.quarantined_a);
-  doc["quarantined_b"] = static_cast<double>(comparison.quarantined_b);
-  doc["retry_exhausted_a"] = static_cast<double>(comparison.retry_exhausted_a);
-  doc["retry_exhausted_b"] = static_cast<double>(comparison.retry_exhausted_b);
-  doc["refuted_quarantined"] = static_cast<double>(comparison.refuted_quarantined);
-  util::JsonArray rows;
-  for (const auto& row : comparison.rows) {
-    util::JsonObject r;
-    r["event"] = std::string(sim::event_name(row.event));
-    r["mean_a"] = row.test.mean_a;
-    r["mean_b"] = row.test.mean_b;
-    r["repetitions_a"] = static_cast<double>(row.repetitions_a);
-    r["repetitions_b"] = static_cast<double>(row.repetitions_b);
-    r["relative_delta"] = row.test.relative_delta;
-    r["t"] = row.test.t;
-    r["df"] = row.test.df;
-    r["p"] = row.test.p_two_tailed;
-    r["p_adjusted"] = row.adjusted_p;
-    r["confidence"] = row.test.confidence;
-    if (row.trust != validate::TrustTier::kUnvalidated) {
-      r["trust"] = std::string(validate::tier_name(row.trust));
-    }
-    if (row.trust_quarantined) r["trust_quarantined"] = true;
-    rows.emplace_back(std::move(r));
-  }
-  doc["rows"] = std::move(rows);
-  return util::Json(std::move(doc));
-}
-
-util::Json sweep_to_json(const SweepResult& result) {
-  util::JsonObject doc;
-  doc["parameter"] = result.parameter_name;
-  util::JsonArray rows;
-  for (const auto& row : result.correlations) {
-    util::JsonObject r;
-    r["event"] = std::string(sim::event_name(row.event));
-    r["fit"] = stats::fit_kind_name(row.best.kind);
-    r["formula"] = row.best.formula();
-    r["r"] = row.best.r;
-    r["r_squared"] = row.best.r_squared;
-    r["points"] = static_cast<u64>(row.points);
-    rows.emplace_back(std::move(r));
-  }
-  doc["correlations"] = std::move(rows);
-  return util::Json(std::move(doc));
-}
-
-std::string sweep_to_csv(const SweepResult& result) {
-  util::CsvWriter csv({result.parameter_name, "event", "repetition", "value"});
-  for (const auto& m : result.measurements) {
-    const double param = m.parameter(result.parameter_name);
-    for (const sim::Event event : m.recorded_events()) {
-      const auto& samples = m.samples(event);
-      for (usize rep = 0; rep < samples.size(); ++rep) {
-        csv.add_row({util::compact_double(param), std::string(sim::event_name(event)),
-                     std::to_string(rep), util::compact_double(samples[rep], 9)});
-      }
-    }
-  }
-  return csv.str();
 }
 
 }  // namespace npat::evsel

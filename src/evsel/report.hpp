@@ -1,7 +1,7 @@
 // Terminal rendering of EvSel results, reproducing the GUI's visual cues
 // (Fig. 5): every event listed with its description, zero counters grayed
 // out, significance icons with the reached confidence, color-coded
-// correlations. Plus JSON/CSV export.
+// correlations.
 #pragma once
 
 #include <string>
@@ -32,11 +32,5 @@ std::string render_correlations(const SweepResult& result, double min_abs_r = 0.
 /// the "all available events on the CPU are listed" pane.
 std::string render_measurement(const Measurement& measurement,
                                const ReportOptions& options = {});
-
-util::Json comparison_to_json(const Comparison& comparison);
-util::Json sweep_to_json(const SweepResult& result);
-
-/// CSV with one row per (event, repetition) pair of a sweep.
-std::string sweep_to_csv(const SweepResult& result);
 
 }  // namespace npat::evsel

@@ -65,13 +65,6 @@ const ProbeState& FleetCollector::probe(usize index) const {
   return probes_[index]->state;
 }
 
-bool FleetCollector::all_ended() const noexcept {
-  for (const auto& probe : probes_) {
-    if (!probe->state.ended) return false;
-  }
-  return !probes_.empty();
-}
-
 usize FleetCollector::poll(Cycles now) {
   NPAT_OBS_SPAN("fleet.poll");
   clock_ = std::max(clock_, now);
@@ -118,7 +111,7 @@ usize FleetCollector::collect(PerProbe& probe) {
   }
   // Drained and closed: a partial frame can never complete. Let the
   // decoder flush and count the truncation (same EOF handling as the
-  // single-probe GuiCollector and monitor::decode_stream).
+  // single-probe GuiCollector).
   if (probe.channel->closed()) probe.decoder.finish();
   return process(probe);
 }

@@ -158,7 +158,6 @@ class FleetCollector {
 
   usize probe_count() const noexcept { return probes_.size(); }
   const ProbeState& probe(usize index) const;
-  bool all_ended() const noexcept;
   /// Samples merged across all probes since construction.
   usize samples_merged() const noexcept { return samples_merged_; }
 

@@ -68,11 +68,6 @@ u64 FlightRecorder::evicted() const {
   return evicted_;
 }
 
-usize FlightRecorder::size() const {
-  std::lock_guard lock(mutex_);
-  return ring_.size();
-}
-
 std::vector<FlightEvent> FlightRecorder::snapshot() const {
   std::lock_guard lock(mutex_);
   return {ring_.begin(), ring_.end()};

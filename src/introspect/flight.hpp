@@ -75,7 +75,6 @@ class FlightRecorder {
   u64 total(FlightKind kind) const;
   u64 recorded() const;  ///< events ever recorded
   u64 evicted() const;   ///< events pushed out by the capacity bound
-  usize size() const;
   usize capacity() const { return capacity_; }
 
   std::vector<FlightEvent> snapshot() const;

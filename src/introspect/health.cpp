@@ -118,10 +118,6 @@ QuantileEstimate histogram_quantile_estimate(const obs::Histogram& histogram, do
   return {bounds.back(), true};
 }
 
-double histogram_quantile(const obs::Histogram& histogram, double q) {
-  return histogram_quantile_estimate(histogram, q).value;
-}
-
 std::string self_metrics_prometheus(const obs::Registry& registry,
                                     const FlightRecorder& recorder) {
   std::string out = registry.prometheus_text();

@@ -98,12 +98,6 @@ struct QuantileEstimate {
 /// set so callers can render the result as ">=bound".
 QuantileEstimate histogram_quantile_estimate(const obs::Histogram& histogram, double q);
 
-/// Value-only convenience over histogram_quantile_estimate() — the
-/// overflow flag is dropped, so the result can silently floor a
-/// blown-out tail; prefer the estimate form anywhere the distinction is
-/// user-visible.
-double histogram_quantile(const obs::Histogram& histogram, double q);
-
 /// Self-metrics exports: `registry` in Prometheus text followed by the
 /// flight recorder's per-kind totals as npat_flight_events_total{kind=…}
 /// counters (and npat_flight_ring_{recorded,evicted}_total).

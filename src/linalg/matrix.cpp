@@ -1,50 +1,16 @@
 #include "linalg/matrix.hpp"
 
-#include <cmath>
-
 #include "util/check.hpp"
-#include "util/strings.hpp"
 
 namespace npat::linalg {
 
 Matrix::Matrix(usize rows, usize cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
-  rows_ = rows.size();
-  cols_ = rows_ ? rows.begin()->size() : 0;
-  data_.reserve(rows_ * cols_);
-  for (const auto& row : rows) {
-    NPAT_CHECK_MSG(row.size() == cols_, "ragged initializer for Matrix");
-    data_.insert(data_.end(), row.begin(), row.end());
-  }
-}
-
 Matrix Matrix::identity(usize n) {
   Matrix m(n, n);
   for (usize i = 0; i < n; ++i) m(i, i) = 1.0;
   return m;
-}
-
-Matrix Matrix::from_columns(const std::vector<Vector>& columns) {
-  NPAT_CHECK_MSG(!columns.empty(), "from_columns needs at least one column");
-  const usize n = columns.front().size();
-  for (const auto& col : columns) NPAT_CHECK_MSG(col.size() == n, "column length mismatch");
-  Matrix m(n, columns.size());
-  for (usize c = 0; c < columns.size(); ++c) {
-    for (usize r = 0; r < n; ++r) m(r, c) = columns[c][r];
-  }
-  return m;
-}
-
-double& Matrix::at(usize r, usize c) {
-  NPAT_CHECK_MSG(r < rows_ && c < cols_, "Matrix::at out of bounds");
-  return (*this)(r, c);
-}
-
-double Matrix::at(usize r, usize c) const {
-  NPAT_CHECK_MSG(r < rows_ && c < cols_, "Matrix::at out of bounds");
-  return (*this)(r, c);
 }
 
 Matrix Matrix::transposed() const {
@@ -53,19 +19,6 @@ Matrix Matrix::transposed() const {
     for (usize c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
   }
   return t;
-}
-
-Vector Matrix::column(usize c) const {
-  NPAT_CHECK(c < cols_);
-  Vector out(rows_);
-  for (usize r = 0; r < rows_; ++r) out[r] = (*this)(r, c);
-  return out;
-}
-
-Vector Matrix::row(usize r) const {
-  NPAT_CHECK(r < rows_);
-  return Vector(data_.begin() + static_cast<std::ptrdiff_t>(r * cols_),
-                data_.begin() + static_cast<std::ptrdiff_t>((r + 1) * cols_));
 }
 
 Matrix Matrix::operator*(const Matrix& rhs) const {
@@ -89,68 +42,6 @@ Vector Matrix::operator*(const Vector& rhs) const {
     for (usize j = 0; j < cols_; ++j) acc += (*this)(i, j) * rhs[j];
     out[i] = acc;
   }
-  return out;
-}
-
-Matrix Matrix::operator+(const Matrix& rhs) const {
-  NPAT_CHECK_MSG(rows_ == rhs.rows_ && cols_ == rhs.cols_, "matrix add shape mismatch");
-  Matrix out = *this;
-  for (usize i = 0; i < data_.size(); ++i) out.data_[i] += rhs.data_[i];
-  return out;
-}
-
-Matrix Matrix::operator-(const Matrix& rhs) const {
-  NPAT_CHECK_MSG(rows_ == rhs.rows_ && cols_ == rhs.cols_, "matrix sub shape mismatch");
-  Matrix out = *this;
-  for (usize i = 0; i < data_.size(); ++i) out.data_[i] -= rhs.data_[i];
-  return out;
-}
-
-Matrix& Matrix::operator*=(double scalar) {
-  for (double& v : data_) v *= scalar;
-  return *this;
-}
-
-double Matrix::norm() const {
-  double acc = 0.0;
-  for (double v : data_) acc += v * v;
-  return std::sqrt(acc);
-}
-
-double Matrix::max_abs_diff(const Matrix& other) const {
-  NPAT_CHECK_MSG(rows_ == other.rows_ && cols_ == other.cols_, "shape mismatch");
-  double worst = 0.0;
-  for (usize i = 0; i < data_.size(); ++i) {
-    worst = std::max(worst, std::fabs(data_[i] - other.data_[i]));
-  }
-  return worst;
-}
-
-std::string Matrix::to_string(int precision) const {
-  std::string out;
-  for (usize r = 0; r < rows_; ++r) {
-    out += "[ ";
-    for (usize c = 0; c < cols_; ++c) {
-      out += util::format("%.*g ", precision, (*this)(r, c));
-    }
-    out += "]\n";
-  }
-  return out;
-}
-
-double dot(const Vector& a, const Vector& b) {
-  NPAT_CHECK_MSG(a.size() == b.size(), "dot length mismatch");
-  double acc = 0.0;
-  for (usize i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-double norm2(const Vector& a) { return std::sqrt(dot(a, a)); }
-
-Vector axpy(double alpha, const Vector& x, const Vector& y) {
-  NPAT_CHECK_MSG(x.size() == y.size(), "axpy length mismatch");
-  Vector out(x.size());
-  for (usize i = 0; i < x.size(); ++i) out[i] = alpha * x[i] + y[i];
   return out;
 }
 

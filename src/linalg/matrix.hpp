@@ -5,8 +5,6 @@
 // wins over blocking/vectorization tricks.
 #pragma once
 
-#include <initializer_list>
-#include <string>
 #include <vector>
 
 #include "util/types.hpp"
@@ -19,12 +17,8 @@ class Matrix {
  public:
   Matrix() = default;
   Matrix(usize rows, usize cols, double fill = 0.0);
-  /// Row-major initializer: Matrix({{1,2},{3,4}}).
-  Matrix(std::initializer_list<std::initializer_list<double>> rows);
 
   static Matrix identity(usize n);
-  /// Column-stacks the given columns (all must share the same length).
-  static Matrix from_columns(const std::vector<Vector>& columns);
 
   usize rows() const noexcept { return rows_; }
   usize cols() const noexcept { return cols_; }
@@ -33,37 +27,15 @@ class Matrix {
   double& operator()(usize r, usize c) noexcept { return data_[r * cols_ + c]; }
   double operator()(usize r, usize c) const noexcept { return data_[r * cols_ + c]; }
 
-  /// Bounds-checked element access (throws CheckError).
-  double& at(usize r, usize c);
-  double at(usize r, usize c) const;
-
   Matrix transposed() const;
-  Vector column(usize c) const;
-  Vector row(usize r) const;
 
   Matrix operator*(const Matrix& rhs) const;
   Vector operator*(const Vector& rhs) const;
-  Matrix operator+(const Matrix& rhs) const;
-  Matrix operator-(const Matrix& rhs) const;
-  Matrix& operator*=(double scalar);
-
-  /// Frobenius norm.
-  double norm() const;
-
-  /// Max |a_ij - b_ij|; matrices must have equal shape.
-  double max_abs_diff(const Matrix& other) const;
-
-  std::string to_string(int precision = 4) const;
 
  private:
   usize rows_ = 0;
   usize cols_ = 0;
   std::vector<double> data_;
 };
-
-// Vector helpers.
-double dot(const Vector& a, const Vector& b);
-double norm2(const Vector& a);
-Vector axpy(double alpha, const Vector& x, const Vector& y);  // alpha*x + y
 
 }  // namespace npat::linalg

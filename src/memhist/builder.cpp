@@ -1,16 +1,9 @@
 #include "memhist/builder.hpp"
 
-#include <cmath>
-
 #include "obs/obs.hpp"
 #include "util/check.hpp"
 
 namespace npat::memhist {
-
-Cycles slice_cycles_for_hz(double frequency_ghz, double hz) {
-  NPAT_CHECK_MSG(frequency_ghz > 0.0 && hz > 0.0, "rates must be positive");
-  return static_cast<Cycles>(std::llround(frequency_ghz * 1e9 / hz));
-}
 
 MemhistBuilder::MemhistBuilder(sim::Machine& machine, trace::Runner& runner,
                                MemhistOptions options)

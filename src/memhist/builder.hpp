@@ -37,9 +37,6 @@ struct MemhistOptions {
   std::optional<sim::DataSource> source_filter;
 };
 
-/// Slice period matching the paper's 100 Hz for a given core frequency.
-Cycles slice_cycles_for_hz(double frequency_ghz, double hz = 100.0);
-
 class MemhistBuilder {
  public:
   /// Registers the threshold-rotation hook with `runner`; the builder must

@@ -71,25 +71,6 @@ std::string LatencyHistogram::render(const std::string& title) const {
   return util::render_histogram(bars, options);
 }
 
-util::Json LatencyHistogram::to_json() const {
-  util::JsonObject doc;
-  doc["mode"] = mode_ == HistogramMode::kOccurrences ? "occurrences" : "costs";
-  util::JsonArray bins;
-  for (usize i = 0; i < bins_.size(); ++i) {
-    const auto& bin = bins_[i];
-    util::JsonObject b;
-    b["lo"] = bin.lo;
-    b["hi"] = bin.hi;
-    b["occurrences"] = bin.occurrences;
-    b["value"] = value(i);
-    b["uncertain"] = bin.uncertain;
-    if (!bin.annotation.empty()) b["annotation"] = bin.annotation;
-    bins.emplace_back(std::move(b));
-  }
-  doc["bins"] = std::move(bins);
-  return util::Json(std::move(doc));
-}
-
 void annotate_with_machine_levels(LatencyHistogram& histogram,
                                   const sim::MachineConfig& config) {
   struct Level {

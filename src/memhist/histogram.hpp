@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "sim/machine.hpp"
-#include "util/json.hpp"
 #include "util/types.hpp"
 
 namespace npat::memhist {
@@ -51,8 +50,6 @@ class LatencyHistogram {
   /// Fig. 10-style rendering: one bar per interval, grey uncertain bars,
   /// dominating bars truncated, annotations on the right.
   std::string render(const std::string& title) const;
-
-  util::Json to_json() const;
 
  private:
   std::vector<LatencyBin> bins_;

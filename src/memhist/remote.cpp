@@ -68,7 +68,7 @@ void GuiCollector::poll() {
   // The channel is drained; if it is also closed, a partially received
   // frame can never complete. Signal end of stream so the decoder flushes
   // and counts the truncation instead of waiting forever (mirrors
-  // monitor::decode_stream).
+  // fleet::FleetCollector).
   if (channel_->closed()) decoder_.finish();
   while (auto message = decoder_.poll()) {
     // Emit-stamp annotations (v6) are transparent to this collector: it

@@ -185,53 +185,11 @@ TaskWindowStats aggregate_tasks(std::span<const TaskSample> samples) {
   return window;
 }
 
-TaskSample merge_task_samples(std::span<const TaskSample> samples) {
-  NPAT_CHECK_MSG(!samples.empty(), "cannot merge zero task samples");
-  TaskSample merged = samples.front();
-  std::map<std::pair<u32, u32>, usize> index;
-  for (usize i = 0; i < merged.tasks.size(); ++i) {
-    index[{merged.tasks[i].pid, merged.tasks[i].tid}] = i;
-  }
-  for (const TaskSample& sample : samples.subspan(1)) {
-    merged.timestamp = sample.timestamp;
-    for (const TaskCounters& row : sample.tasks) {
-      const auto [it, inserted] = index.try_emplace({row.pid, row.tid}, merged.tasks.size());
-      if (inserted) {
-        merged.tasks.push_back(row);
-        continue;
-      }
-      TaskCounters& out = merged.tasks[it->second];
-      out.instructions += row.instructions;
-      out.cycles += row.cycles;
-      out.local_dram += row.local_dram;
-      out.remote_dram += row.remote_dram;
-      out.remote_hitm += row.remote_hitm;
-      out.loads += row.loads;
-      out.latency_sum += row.latency_sum;
-      out.latency_loads += row.latency_loads;
-      if (row.cycles > 0) out.node = row.node;  // follow the task's latest placement
-      if (!row.areas.empty()) out.areas = row.areas;
-    }
-  }
-  std::sort(merged.tasks.begin(), merged.tasks.end(),
-            [](const TaskCounters& a, const TaskCounters& b) {
-              return std::pair{a.pid, a.tid} < std::pair{b.pid, b.tid};
-            });
-  return merged;
-}
-
 TieredHistory::TieredHistory(TierConfig config) : config_(config) {
   NPAT_CHECK_MSG(config_.tiers >= 1, "need at least one tier");
   NPAT_CHECK_MSG(config_.factor >= 2, "downsampling factor must be >= 2");
   for (usize t = 0; t < config_.tiers; ++t) rings_.emplace_back(config_.capacity);
   pending_.resize(config_.tiers);
-}
-
-u64 TieredHistory::scale(usize t) const {
-  NPAT_CHECK_MSG(t < rings_.size(), "tier out of range");
-  u64 s = 1;
-  for (usize i = 0; i < t; ++i) s *= config_.factor;
-  return s;
 }
 
 void TieredHistory::accumulate(Sample& into, const Sample& sample) {

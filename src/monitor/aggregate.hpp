@@ -116,10 +116,6 @@ struct TaskWindowStats {
 /// tasks start and exit).
 TaskWindowStats aggregate_tasks(std::span<const TaskSample> samples);
 
-/// Merges consecutive task samples into one coarser sample (deltas sum,
-/// area snapshots and the timestamp take the last value).
-TaskSample merge_task_samples(std::span<const TaskSample> samples);
-
 struct TierConfig {
   usize tiers = 3;
   /// Downsampling factor between adjacent tiers.
@@ -137,8 +133,6 @@ class TieredHistory {
 
   usize tiers() const noexcept { return rings_.size(); }
   const Ring<Sample>& tier(usize t) const { return rings_.at(t); }
-  /// Period multiplier of tier t relative to the base period (factor^t).
-  u64 scale(usize t) const;
   const TierConfig& config() const noexcept { return config_; }
 
  private:

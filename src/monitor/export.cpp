@@ -90,28 +90,6 @@ std::vector<u8> encode_stream(std::span<const Sample> samples) {
   return out;
 }
 
-DecodedStream decode_stream(const std::vector<u8>& bytes) {
-  namespace wire = memhist::wire;
-  wire::Decoder decoder;
-  decoder.feed(bytes);
-  decoder.finish();
-
-  DecodedStream out;
-  while (auto message = decoder.poll()) {
-    if (const auto* hello = std::get_if<wire::Hello>(&*message)) {
-      out.node_count = hello->node_count;
-      out.version = hello->version;
-    } else if (const auto* sample = std::get_if<wire::MonitorSampleMsg>(&*message)) {
-      out.samples.push_back(from_wire(*sample));
-    } else if (const auto* end = std::get_if<wire::End>(&*message)) {
-      out.ended = true;
-      out.total_cycles = end->total_cycles;
-    }
-  }
-  out.dropped_frames = decoder.dropped_frames();
-  return out;
-}
-
 std::string to_csv_tasks(std::span<const TaskSample> samples, const TaskNameTable& names) {
   util::CsvWriter csv({"timestamp", "pid", "tid", "process", "thread", "node", "instructions",
                        "cycles", "local_dram", "remote_dram", "remote_hitm", "loads",
@@ -200,35 +178,6 @@ memhist::wire::TaskSampleMsg to_wire_tasks(const TaskSample& sample,
   return message;
 }
 
-TaskSample from_wire_tasks(const memhist::wire::TaskSampleMsg& message,
-                           const std::map<u32, std::pair<u32, u32>>& identities) {
-  TaskSample sample;
-  sample.timestamp = message.timestamp;
-  sample.tasks.reserve(message.rows.size());
-  for (const memhist::wire::TaskSampleRow& row : message.rows) {
-    const auto it = identities.find(row.task_id);
-    if (it == identities.end()) continue;
-    TaskCounters t;
-    t.pid = it->second.first;
-    t.tid = it->second.second;
-    t.node = row.node;
-    t.instructions = row.instructions;
-    t.cycles = row.cycles;
-    t.local_dram = row.local_dram;
-    t.remote_dram = row.remote_dram;
-    t.remote_hitm = row.remote_hitm;
-    t.loads = row.loads;
-    t.latency_sum = row.latency_sum;
-    t.latency_loads = row.latency_loads;
-    t.areas.reserve(row.areas.size());
-    for (const memhist::wire::TaskAreaCounters& area : row.areas) {
-      t.areas.push_back(TaskArea{area.base, area.samples});
-    }
-    sample.tasks.push_back(std::move(t));
-  }
-  return sample;
-}
-
 std::vector<u8> encode_task_stream(std::span<const TaskSample> samples,
                                    const TaskNameTable& names) {
   namespace wire = memhist::wire;
@@ -265,34 +214,6 @@ std::vector<u8> encode_task_stream(std::span<const TaskSample> samples,
   append(wire::encode(table));
   for (const TaskSample& sample : samples) append(wire::encode(to_wire_tasks(sample, task_ids)));
   append(wire::encode(wire::End{samples.empty() ? 0 : samples.back().timestamp}));
-  return out;
-}
-
-DecodedTaskStream decode_task_stream(const std::vector<u8>& bytes) {
-  namespace wire = memhist::wire;
-  wire::Decoder decoder;
-  decoder.feed(bytes);
-  decoder.finish();
-
-  DecodedTaskStream out;
-  std::map<u32, std::pair<u32, u32>> identities;
-  while (auto message = decoder.poll()) {
-    if (const auto* hello = std::get_if<wire::Hello>(&*message)) {
-      out.version = hello->version;
-    } else if (const auto* table = std::get_if<wire::TaskTableMsg>(&*message)) {
-      for (const wire::TaskTableEntry& entry : table->entries) {
-        identities[entry.task_id] = {entry.pid, entry.tid};
-        out.names[{entry.pid, entry.tid}] = TaskNames{entry.process_name, entry.thread_name};
-      }
-    } else if (const auto* sample = std::get_if<wire::TaskSampleMsg>(&*message)) {
-      TaskSample decoded = from_wire_tasks(*sample, identities);
-      out.unknown_task_rows += sample->rows.size() - decoded.tasks.size();
-      out.samples.push_back(std::move(decoded));
-    } else if (std::get_if<wire::End>(&*message) != nullptr) {
-      out.ended = true;
-    }
-  }
-  out.dropped_frames = decoder.dropped_frames();
   return out;
 }
 

@@ -35,19 +35,6 @@ Sample from_wire(const memhist::wire::MonitorSampleMsg& message);
 /// timestamp. An empty span yields Hello + End only.
 std::vector<u8> encode_stream(std::span<const Sample> samples);
 
-struct DecodedStream {
-  std::vector<Sample> samples;
-  u32 node_count = 0;       // from Hello, 0 if the Hello frame was lost
-  u8 version = 0;           // ditto
-  bool ended = false;       // End frame seen
-  Cycles total_cycles = 0;  // from End
-  usize dropped_frames = 0;
-};
-
-/// Decodes whatever intact monitor frames a (possibly damaged) byte stream
-/// contains; non-monitor frames are tolerated and summarized.
-DecodedStream decode_stream(const std::vector<u8>& bytes);
-
 // --- per-task export -------------------------------------------------------
 
 /// Display names for a (pid, tid) row; tasks without an entry export with
@@ -71,31 +58,10 @@ util::Json to_json_tasks(std::span<const TaskSample> samples, const TaskNameTabl
 memhist::wire::TaskSampleMsg to_wire_tasks(const TaskSample& sample,
                                            const std::map<std::pair<u32, u32>, u32>& task_ids);
 
-/// Inverse of to_wire_tasks: resolves rows against `identities` (task id
-/// -> (pid, tid)); rows with unknown ids are dropped here — stateful
-/// consumers (fleet::FleetCollector) hold them for late registration
-/// instead of using this helper.
-TaskSample from_wire_tasks(const memhist::wire::TaskSampleMsg& message,
-                           const std::map<u32, std::pair<u32, u32>>& identities);
-
 /// Encodes a complete per-task monitoring session: Hello (protocol v5),
 /// one TaskTable frame registering every task appearing in `samples` or
 /// `names`, one TaskSample frame per sample, End with the last timestamp.
 std::vector<u8> encode_task_stream(std::span<const TaskSample> samples,
                                    const TaskNameTable& names = {});
-
-struct DecodedTaskStream {
-  std::vector<TaskSample> samples;
-  TaskNameTable names;
-  u8 version = 0;
-  bool ended = false;
-  usize dropped_frames = 0;
-  /// Sample rows referencing a task id never registered by a TaskTable.
-  usize unknown_task_rows = 0;
-};
-
-/// Decodes a per-task stream produced by encode_task_stream (or any v5
-/// probe); tolerates damage and interleaved non-task frames.
-DecodedTaskStream decode_task_stream(const std::vector<u8>& bytes);
 
 }  // namespace npat::monitor

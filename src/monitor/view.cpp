@@ -153,10 +153,6 @@ std::string render_view(const WindowStats& window, std::span<const WindowStats> 
   return out;
 }
 
-std::string render_view(const WindowStats& window, const ViewOptions& options) {
-  return render_view(window, std::span<const WindowStats>{}, options);
-}
-
 std::vector<obs::Severity> evaluate_node_alerts(obs::AlertEngine& engine,
                                                 const WindowStats& window) {
   std::vector<obs::Severity> severities;

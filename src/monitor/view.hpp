@@ -48,9 +48,6 @@ std::string sparkline(std::span<const double> values, usize width);
 std::string render_view(const WindowStats& window, std::span<const WindowStats> history,
                         const ViewOptions& options = {});
 
-/// Convenience overload without history (no sparkline column).
-std::string render_view(const WindowStats& window, const ViewOptions& options = {});
-
 /// Feeds one aggregation window's per-node remote ratios through the
 /// engine's "remote_ratio" rule (subjects "node0", "node1", …) and returns
 /// the committed severities, ready to assign to ViewOptions::node_alerts.

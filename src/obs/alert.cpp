@@ -110,8 +110,6 @@ void set_transition_observer(TransitionObserver observer) noexcept {
   g_transition_observer = observer;
 }
 
-TransitionObserver transition_observer() noexcept { return g_transition_observer; }
-
 void AlertEngine::emit(const AlertRule& rule, const std::string& subject,
                        const AlertTransition& transition) {
   metrics()

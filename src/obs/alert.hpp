@@ -60,7 +60,6 @@ struct AlertTransition {
 /// through this pointer); nullptr disables. Swap only from one thread.
 using TransitionObserver = void (*)(const AlertTransition&);
 void set_transition_observer(TransitionObserver observer) noexcept;
-TransitionObserver transition_observer() noexcept;
 
 class AlertEngine {
  public:

@@ -70,13 +70,6 @@ void Histogram::observe(double value) noexcept {
   add_double(sum_, value);
 }
 
-void Histogram::reset() noexcept {
-  for (auto& count : counts_) count.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  nan_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-}
-
 std::string escape_label_value(std::string_view value) {
   std::string out;
   out.reserve(value.size());
@@ -166,11 +159,6 @@ const Histogram* Registry::find_histogram(const std::string& name) const {
   std::lock_guard lock(mutex_);
   const auto it = entries_.find(name);
   return it != entries_.end() ? it->second.histogram.get() : nullptr;
-}
-
-usize Registry::size() const {
-  std::lock_guard lock(mutex_);
-  return entries_.size();
 }
 
 std::string Registry::prometheus_text() const {
@@ -273,15 +261,6 @@ util::Json Registry::to_json() const {
 bool Registry::remove(const std::string& name) {
   std::lock_guard lock(mutex_);
   return entries_.erase(name) > 0;
-}
-
-void Registry::reset() {
-  std::lock_guard lock(mutex_);
-  for (auto& [name, entry] : entries_) {
-    if (entry.counter) entry.counter->reset();
-    if (entry.gauge) entry.gauge->reset();
-    if (entry.histogram) entry.histogram->reset();
-  }
 }
 
 }  // namespace npat::obs

@@ -36,7 +36,6 @@ class Counter {
     if (enabled()) value_.fetch_add(delta, std::memory_order_relaxed);
   }
   u64 value() const noexcept { return value_.load(std::memory_order_relaxed); }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<u64> value_{0};
@@ -49,7 +48,6 @@ class Gauge {
     if (enabled()) value_.store(value, std::memory_order_relaxed);
   }
   double value() const noexcept { return value_.load(std::memory_order_relaxed); }
-  void reset() noexcept { value_.store(0.0, std::memory_order_relaxed); }
 
  private:
   std::atomic<double> value_{0.0};
@@ -75,7 +73,6 @@ class Histogram {
   /// NaN values passed to observe(): dropped from every bucket and from
   /// `sum`/`count`, counted here so the damage is visible, not silent.
   u64 nan_observations() const noexcept { return nan_.load(std::memory_order_relaxed); }
-  void reset() noexcept;
 
  private:
   std::vector<double> bounds_;
@@ -113,15 +110,11 @@ class Registry {
   /// Stable pointer to a registered histogram; nullptr if the name is
   /// absent or registered as another kind. Handles outlive the lookup.
   const Histogram* find_histogram(const std::string& name) const;
-  usize size() const;
 
   /// Prometheus text exposition format, metrics sorted by name, one HELP/
   /// TYPE pair per base name (the part before any '{' label suffix).
   std::string prometheus_text() const;
   util::Json to_json() const;
-
-  /// Zeroes every value; metric handles stay valid.
-  void reset();
 
   /// Unregisters a metric by its exact registered name (labeled series
   /// use the full labeled_name() spelling). Returns true when an entry

@@ -19,21 +19,6 @@ sim::CoreId core_for_thread(const sim::Topology& topology, AffinityPolicy policy
   return 0;
 }
 
-std::vector<sim::CoreId> placement(const sim::Topology& topology, AffinityPolicy policy,
-                                   u32 threads) {
-  std::vector<sim::CoreId> out;
-  out.reserve(threads);
-  for (u32 i = 0; i < threads; ++i) out.push_back(core_for_thread(topology, policy, i));
-  return out;
-}
-
-AffinityPolicy affinity_from_name(const std::string& name) {
-  if (name == "compact") return AffinityPolicy::kCompact;
-  if (name == "scatter") return AffinityPolicy::kScatter;
-  NPAT_CHECK_MSG(false, "unknown affinity policy: " + name);
-  return AffinityPolicy::kCompact;
-}
-
 const char* affinity_name(AffinityPolicy policy) {
   return policy == AffinityPolicy::kCompact ? "compact" : "scatter";
 }

@@ -21,11 +21,6 @@ enum class AffinityPolicy : u8 {
 /// count wrap around (oversubscription shares cores).
 sim::CoreId core_for_thread(const sim::Topology& topology, AffinityPolicy policy, u32 index);
 
-/// Full placement for `threads` logical threads.
-std::vector<sim::CoreId> placement(const sim::Topology& topology, AffinityPolicy policy,
-                                   u32 threads);
-
-AffinityPolicy affinity_from_name(const std::string& name);  // "compact" | "scatter"
 const char* affinity_name(AffinityPolicy policy);
 
 }  // namespace npat::os

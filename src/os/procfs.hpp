@@ -29,17 +29,11 @@ class FootprintRecorder {
   }
 
   const std::vector<FootprintSample>& samples() const noexcept { return samples_; }
-  std::vector<double> times() const;
-  std::vector<double> reserved() const;
   void clear() { samples_.clear(); }
 
  private:
   const AddressSpace* space_;
   std::vector<FootprintSample> samples_;
 };
-
-/// Converts a sampling frequency in Hz of *simulated* time into a cycle
-/// interval for a machine running at `frequency_ghz`.
-Cycles cycles_per_sample(double frequency_ghz, double sample_hz);
 
 }  // namespace npat::os

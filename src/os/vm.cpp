@@ -10,15 +10,6 @@ namespace {
 constexpr u64 kSmallPagesPerHuge = kHugePageBytes / kPageBytes;
 }
 
-PagePolicy page_policy_from_name(const std::string& name) {
-  if (name == "first-touch") return PagePolicy::kFirstTouch;
-  if (name == "bind") return PagePolicy::kBind;
-  if (name == "interleave") return PagePolicy::kInterleave;
-  NPAT_CHECK_MSG(false, "unknown page policy: " + name +
-                            " (expected first-touch | bind | interleave)");
-  return PagePolicy::kFirstTouch;
-}
-
 const char* page_policy_name(PagePolicy policy) {
   switch (policy) {
     case PagePolicy::kFirstTouch: return "first-touch";
@@ -114,54 +105,6 @@ void AddressSpace::set_policy_override(PagePolicy policy, sim::NodeId bind_node)
   NPAT_CHECK_MSG(policy != PagePolicy::kBind || bind_node < topology_->nodes,
                  "override bind node out of range");
   override_ = PolicyOverride{policy, bind_node};
-}
-
-u64 AddressSpace::migrate(VirtAddr base, u64 bytes, sim::NodeId target) {
-  NPAT_CHECK_MSG(target < topology_->nodes, "migration target node out of range");
-  NPAT_CHECK_MSG(bytes > 0, "cannot migrate an empty range");
-  u64 moved = 0;
-  const auto move_entry = [&](Frame& frame, u64 unmap_key, u64 page_bytes) {
-    const sim::NodeId home = sim::node_of_paddr(frame.base);
-    if (home == target) return;
-    const u64 page_units = page_bytes / kPageBytes;
-    NPAT_CHECK(node_pages_[home] >= page_units);
-    node_pages_[home] -= page_units;
-    node_pages_[target] += page_units;
-    frame.base = allocate_frame(target, page_bytes);
-    frame.remote_streak = 0;
-    ++pages_migrated_;
-    ++moved;
-    if (on_unmap) on_unmap(unmap_key);  // TLB shootdown
-    if (on_migrate) on_migrate(unmap_key, home, target);
-  };
-  for (u64 page = base / kPageBytes; page <= (base + bytes - 1) / kPageBytes; ++page) {
-    const auto entry = page_table_.find(page);
-    if (entry != page_table_.end()) move_entry(entry->second, page, kPageBytes);
-  }
-  for (u64 hpage = base / kHugePageBytes; hpage <= (base + bytes - 1) / kHugePageBytes;
-       ++hpage) {
-    const auto entry = huge_table_.find(hpage);
-    if (entry != huge_table_.end()) {
-      move_entry(entry->second, hpage | kHugeTlbKeyBit, kHugePageBytes);
-    }
-  }
-  return moved;
-}
-
-void AddressSpace::reset() {
-  if (on_unmap) {
-    for (const auto& [page, frame] : page_table_) on_unmap(page);
-    for (const auto& [hpage, frame] : huge_table_) on_unmap(hpage | kHugeTlbKeyBit);
-  }
-  regions_.clear();
-  page_table_.clear();
-  huge_table_.clear();
-  std::fill(next_frame_.begin(), next_frame_.end(), 0);
-  std::fill(node_pages_.begin(), node_pages_.end(), 0);
-  next_vaddr_ = kFirstVaddr;
-  reserved_bytes_ = 0;
-  resident_pages_ = 0;
-  pages_migrated_ = 0;
 }
 
 void AddressSpace::enable_numa_balancing(u16 threshold) {

@@ -23,10 +23,6 @@ enum class PagePolicy : u8 {
   kInterleave,   // pages round-robin across all nodes
 };
 
-/// Parses "first-touch" | "bind" | "interleave" (the names printed by
-/// page_policy_name). Hard-errors (CheckError) on anything else — the
-/// advisor's apply path must never silently fall back to a default.
-PagePolicy page_policy_from_name(const std::string& name);
 const char* page_policy_name(PagePolicy policy);
 
 struct Region {
@@ -80,21 +76,6 @@ class AddressSpace {
   void set_policy_override(PagePolicy policy, sim::NodeId bind_node = 0);
   void clear_policy_override() { override_.reset(); }
   bool policy_override_active() const noexcept { return override_.has_value(); }
-
-  /// move_pages(2) analogue: migrates every *touched* page intersecting
-  /// [base, base + bytes) to `target`, firing on_unmap (TLB shootdown) and
-  /// on_migrate per moved page. Untouched pages are left for first touch
-  /// under the region's policy. Returns the number of page-table entries
-  /// moved (a huge page counts once).
-  u64 migrate(VirtAddr base, u64 bytes, sim::NodeId target);
-
-  /// Returns the space to its just-constructed state: every mapping is
-  /// dropped (with per-page on_unmap shootdowns) and the virtual/physical
-  /// bump allocators restart, so a replayed run allocates bit-identical
-  /// virtual addresses and physical frames to a fresh space. NUMA-balancing
-  /// configuration and the policy override survive; the migration counter
-  /// does not.
-  void reset();
 
   struct Translation {
     PhysAddr paddr = 0;

@@ -1,7 +1,5 @@
 #include "perf/registry.hpp"
 
-#include "util/json.hpp"
-
 namespace npat::perf {
 
 std::vector<sim::Event> available_events() {
@@ -19,31 +17,12 @@ std::vector<sim::Event> events_with_scope(sim::EventScope scope) {
   return out;
 }
 
-std::vector<sim::Event> events_in_category(std::string_view category) {
-  std::vector<sim::Event> out;
-  for (const auto& info : sim::all_events()) {
-    if (info.category == category) out.push_back(info.event);
-  }
-  return out;
-}
-
 bool is_fixed(sim::Event event) {
   return sim::event_info(event).scope == sim::EventScope::kFixed;
 }
 
 bool is_uncore(sim::Event event) {
   return sim::event_info(event).scope == sim::EventScope::kUncore;
-}
-
-void write_event_file(const std::string& path) {
-  util::write_file(path, sim::events_to_json().dump(2));
-}
-
-std::vector<sim::Event> load_event_file(const std::string& path) {
-  const auto doc = util::Json::parse(util::read_file(path));
-  std::vector<sim::Event> out;
-  for (const auto& info : sim::events_from_json(doc)) out.push_back(info.event);
-  return out;
 }
 
 }  // namespace npat::perf

@@ -1,10 +1,6 @@
-// Platform event discovery — the perf-list analogue EvSel builds on. The
-// registry can be exported to and re-imported from the Intel-style JSON
-// event file the paper describes ("event codes available on the platform
-// are read from a JSON file that provides descriptions for the events").
+// Platform event discovery — the perf-list analogue EvSel builds on.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "sim/events.hpp"
@@ -14,16 +10,10 @@ namespace npat::perf {
 /// All events the platform exposes, optionally filtered.
 std::vector<sim::Event> available_events();
 std::vector<sim::Event> events_with_scope(sim::EventScope scope);
-std::vector<sim::Event> events_in_category(std::string_view category);
 
 /// Fixed-counter events (measurable without consuming a programmable
 /// register).
 bool is_fixed(sim::Event event);
 bool is_uncore(sim::Event event);
-
-/// Writes the platform event file; EvSel reads it back at startup.
-void write_event_file(const std::string& path);
-/// Loads an event file; events unknown to this platform are skipped.
-std::vector<sim::Event> load_event_file(const std::string& path);
 
 }  // namespace npat::perf

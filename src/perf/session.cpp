@@ -1,8 +1,5 @@
 #include "perf/session.hpp"
 
-#include <algorithm>
-#include <map>
-
 #include "perf/registry.hpp"
 #include "util/check.hpp"
 
@@ -104,72 +101,6 @@ std::vector<EventValue> CountingSession::stop() {
   for (sim::Event event : armed_) {
     const u64 delta = now[event] - baseline_[event];
     out.push_back(EventValue{event, static_cast<double>(delta), false});
-  }
-  return out;
-}
-
-std::vector<TaskProfile> read_task_profiles(sim::Machine& machine) {
-  machine.flush_task_accounting();
-  std::map<sim::TaskKey, TaskProfile> merged;
-  std::map<sim::TaskKey, std::vector<u64>> node_cycles;
-  for (u32 core = 0; core < machine.cores(); ++core) {
-    const sim::NodeId node = machine.topology().node_of_core(core);
-    for (const auto& [key, domain] : machine.pmu(core).task_domains()) {
-      TaskProfile& profile = merged[key];
-      profile.pid = key.pid;
-      profile.tid = key.tid;
-      profile.instructions += domain.counters[sim::Event::kInstructions];
-      profile.cycles += domain.counters[sim::Event::kCycles];
-      profile.local_dram += domain.counters[sim::Event::kMemLoadLocalDram];
-      profile.remote_dram += domain.counters[sim::Event::kMemLoadRemoteDram];
-      profile.remote_hitm += domain.counters[sim::Event::kMemLoadRemoteHitm];
-      profile.loads += domain.counters[sim::Event::kLoadsRetired];
-      profile.latency_sum += domain.latency_sum;
-      profile.latency_loads += domain.latency_loads;
-      auto& cycles_by_node = node_cycles[key];
-      cycles_by_node.resize(machine.nodes());
-      cycles_by_node[node] += domain.counters[sim::Event::kCycles];
-    }
-  }
-  std::vector<TaskProfile> out;
-  out.reserve(merged.size());
-  for (auto& [key, profile] : merged) {
-    const auto& cycles_by_node = node_cycles[key];
-    const auto dominant = std::max_element(cycles_by_node.begin(), cycles_by_node.end());
-    profile.node = static_cast<sim::NodeId>(dominant - cycles_by_node.begin());
-    out.push_back(profile);
-  }
-  return out;  // std::map iteration => sorted by (pid, tid)
-}
-
-void TaskCountingSession::start() {
-  NPAT_CHECK_MSG(!running_, "session already started");
-  baseline_ = read_task_profiles(*machine_);
-  running_ = true;
-}
-
-std::vector<TaskProfile> TaskCountingSession::stop() {
-  NPAT_CHECK_MSG(running_, "session not started");
-  running_ = false;
-  std::map<std::pair<u32, u32>, TaskProfile> base;
-  for (const TaskProfile& profile : baseline_) base[{profile.pid, profile.tid}] = profile;
-  std::vector<TaskProfile> out;
-  for (TaskProfile profile : read_task_profiles(*machine_)) {
-    const auto it = base.find({profile.pid, profile.tid});
-    if (it != base.end()) {
-      const TaskProfile& b = it->second;
-      profile.instructions -= b.instructions;
-      profile.cycles -= b.cycles;
-      profile.local_dram -= b.local_dram;
-      profile.remote_dram -= b.remote_dram;
-      profile.remote_hitm -= b.remote_hitm;
-      profile.loads -= b.loads;
-      profile.latency_sum -= b.latency_sum;
-      profile.latency_loads -= b.latency_loads;
-    }
-    if (profile.cycles > 0 || profile.instructions > 0 || profile.loads > 0) {
-      out.push_back(profile);
-    }
   }
   return out;
 }

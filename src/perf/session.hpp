@@ -68,59 +68,4 @@ class CountingSession {
 void check_group_fits(const std::vector<sim::Event>& group, usize core_registers,
                       usize uncore_registers);
 
-/// Per-task counter profile — the numatop row: who ran, where, and with
-/// what memory behaviour. Counters are sums over every core's domain for
-/// the task; `node` is the NUMA node that executed most of its cycles.
-struct TaskProfile {
-  u32 pid = 0;
-  u32 tid = 0;
-  sim::NodeId node = 0;
-  u64 instructions = 0;
-  u64 cycles = 0;
-  u64 local_dram = 0;
-  u64 remote_dram = 0;
-  u64 remote_hitm = 0;
-  u64 loads = 0;
-  u64 latency_sum = 0;
-  u64 latency_loads = 0;
-
-  /// Remote memory accesses (numatop's RMA): remote DRAM + remote HITM.
-  u64 rma() const noexcept { return remote_dram + remote_hitm; }
-  /// Local memory accesses (numatop's LMA).
-  u64 lma() const noexcept { return local_dram; }
-  double rma_lma_ratio() const noexcept {
-    return lma() > 0 ? static_cast<double>(rma()) / static_cast<double>(lma()) : 0.0;
-  }
-  double cpi() const noexcept {
-    return instructions > 0 ? static_cast<double>(cycles) / static_cast<double>(instructions)
-                            : 0.0;
-  }
-  double avg_load_latency() const noexcept {
-    return latency_loads > 0
-               ? static_cast<double>(latency_sum) / static_cast<double>(latency_loads)
-               : 0.0;
-  }
-};
-
-/// Reads the machine's per-task domains (flushing in-flight slices first)
-/// and merges them across cores into one profile per (pid, tid), sorted by
-/// (pid, tid). The per-task sibling of CountingSession's system totals.
-std::vector<TaskProfile> read_task_profiles(sim::Machine& machine);
-
-/// Per-task counting via start/stop snapshots — perf_event_open with a
-/// pid argument instead of a cpu list. stop() returns only tasks that ran
-/// between the snapshots (plus tasks first seen since start()).
-class TaskCountingSession {
- public:
-  explicit TaskCountingSession(sim::Machine& machine) : machine_(&machine) {}
-
-  void start();
-  std::vector<TaskProfile> stop();
-
- private:
-  sim::Machine* machine_;
-  std::vector<TaskProfile> baseline_;
-  bool running_ = false;
-};
-
 }  // namespace npat::perf

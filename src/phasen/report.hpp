@@ -8,6 +8,7 @@
 
 #include "phasen/attribution.hpp"
 #include "phasen/detector.hpp"
+#include "util/json.hpp"
 
 namespace npat::phasen {
 

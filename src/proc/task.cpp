@@ -16,7 +16,6 @@ u32 TaskRegistry::add(TaskInfo info) {
   const u32 id = next_id_++;
   by_identity_.emplace(identity, id);
   by_id_.emplace(id, std::move(info));
-  unannounced_.push_back(id);
   NPAT_OBS_COUNT("npat_proc_tasks_registered_total", "Tasks registered in a TaskRegistry", 1);
   return id;
 }
@@ -48,20 +47,9 @@ const TaskInfo* TaskRegistry::find_identity(u32 pid, u32 tid) const {
   return it != by_identity_.end() ? find(it->second) : nullptr;
 }
 
-std::optional<u32> TaskRegistry::id_of(u32 pid, u32 tid) const {
-  const auto it = by_identity_.find(TaskId{pid, tid});
-  return it != by_identity_.end() ? std::optional<u32>(it->second) : std::nullopt;
-}
-
 std::map<std::pair<u32, u32>, u32> TaskRegistry::task_ids() const {
   std::map<std::pair<u32, u32>, u32> out;
   for (const auto& [identity, id] : by_identity_) out[{identity.pid, identity.tid}] = id;
-  return out;
-}
-
-std::map<u32, std::pair<u32, u32>> TaskRegistry::identities() const {
-  std::map<u32, std::pair<u32, u32>> out;
-  for (const auto& [id, info] : by_id_) out[id] = {info.pid, info.tid};
   return out;
 }
 
@@ -82,19 +70,6 @@ memhist::wire::TaskTableMsg TaskRegistry::to_wire() const {
                                       info.thread_name});
   }
   return table;
-}
-
-std::vector<memhist::wire::TaskTableEntry> TaskRegistry::take_unannounced() {
-  std::vector<memhist::wire::TaskTableEntry> out;
-  out.reserve(unannounced_.size());
-  for (const u32 id : unannounced_) {
-    const TaskInfo* info = find(id);
-    if (info == nullptr) continue;  // rebound away before announcement
-    out.push_back(memhist::wire::TaskTableEntry{id, info->pid, info->tid, info->process_name,
-                                                info->thread_name});
-  }
-  unannounced_.clear();
-  return out;
 }
 
 void TaskRegistry::merge_wire(const memhist::wire::TaskTableMsg& table) {

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <map>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,30 +50,22 @@ class TaskRegistry {
 
   const TaskInfo* find(u32 task_id) const;
   const TaskInfo* find_identity(u32 pid, u32 tid) const;
-  std::optional<u32> id_of(u32 pid, u32 tid) const;
   usize size() const noexcept { return by_id_.size(); }
 
   // --- bridges -------------------------------------------------------------
   /// (pid, tid) -> wire id, for monitor::to_wire_tasks.
   std::map<std::pair<u32, u32>, u32> task_ids() const;
-  /// wire id -> (pid, tid), for monitor::from_wire_tasks.
-  std::map<u32, std::pair<u32, u32>> identities() const;
   /// Name lookup for monitor's CSV/JSON task exports.
   monitor::TaskNameTable name_table() const;
 
   /// All registered tasks as one TaskTable frame (ids ascending).
   memhist::wire::TaskTableMsg to_wire() const;
-  /// Tasks registered since the last call, as TaskTable entries — what an
-  /// incremental probe announces before the next sample frame. Marks them
-  /// announced.
-  std::vector<memhist::wire::TaskTableEntry> take_unannounced();
   /// Folds a received TaskTable frame (collector side).
   void merge_wire(const memhist::wire::TaskTableMsg& table);
 
  private:
   std::map<u32, TaskInfo> by_id_;
   std::map<TaskId, u32> by_identity_;
-  std::vector<u32> unannounced_;
   u32 next_id_ = 1;
 };
 

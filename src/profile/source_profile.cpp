@@ -76,24 +76,4 @@ std::string SourceProfile::report(const std::vector<sim::Event>& columns,
   return table.render();
 }
 
-util::Json SourceProfile::to_json() const {
-  util::JsonArray regions;
-  for (const auto& [tag, block] : totals_) {
-    util::JsonObject region;
-    region["tag"] = static_cast<u64>(tag);
-    region["name"] = region_name(tag);
-    util::JsonObject counters;
-    for (const auto& info : sim::all_events()) {
-      if (block[info.event] > 0) counters[std::string(info.name)] = block[info.event];
-    }
-    region["counters"] = std::move(counters);
-    regions.emplace_back(std::move(region));
-  }
-  util::JsonObject doc;
-  doc["regions"] = std::move(regions);
-  return util::Json(std::move(doc));
-}
-
-void SourceProfile::clear() { totals_.clear(); }
-
 }  // namespace npat::profile

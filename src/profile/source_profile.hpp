@@ -51,9 +51,6 @@ class SourceProfile {
                          sim::Event::kMemLoadRemoteDram},
                      sim::Event sort_by = sim::Event::kCycles) const;
 
-  util::Json to_json() const;
-  void clear();
-
  private:
   std::map<u32, sim::CounterBlock> totals_;
   std::map<u32, std::string> names_;

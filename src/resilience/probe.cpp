@@ -16,18 +16,6 @@ constexpr usize kRecvChunk = 4096;
 
 }  // namespace
 
-const char* link_state_name(LinkState state) noexcept {
-  switch (state) {
-    case LinkState::kConnected:
-      return "connected";
-    case LinkState::kAwaitingResume:
-      return "resuming";
-    case LinkState::kBackoff:
-      break;
-  }
-  return "backoff";
-}
-
 SupervisedProbe::SupervisedProbe(SupervisedProbeConfig config, DialFn dial)
     : config_(std::move(config)), dial_(std::move(dial)), rng_(config_.seed) {
   NPAT_CHECK_MSG(dial_ != nullptr, "SupervisedProbe needs a dial function");
@@ -72,10 +60,6 @@ void SupervisedProbe::pump(Cycles now) {
 
 void SupervisedProbe::send_sample(const wire::MonitorSampleMsg& sample, Cycles now) {
   enqueue_and_send(wire::Message{sample}, now);
-}
-
-void SupervisedProbe::send_reading(const memhist::ThresholdReading& reading, Cycles now) {
-  enqueue_and_send(wire::Message{wire::ReadingMsg{reading}}, now);
 }
 
 void SupervisedProbe::send_task_table(const wire::TaskTableMsg& table, Cycles now) {

@@ -41,8 +41,6 @@ enum class LinkState : u8 {
   kBackoff,         ///< link down; next dial attempt scheduled
 };
 
-const char* link_state_name(LinkState state) noexcept;
-
 struct BackoffConfig {
   Cycles initial = 2000;    ///< delay before the first retry
   Cycles max = 256000;      ///< exponential growth is capped here
@@ -91,7 +89,6 @@ class SupervisedProbe {
   /// link is down (or resuming) frames are buffered and flow after the
   /// handshake, in sequence order.
   void send_sample(const wire::MonitorSampleMsg& sample, Cycles now);
-  void send_reading(const memhist::ThresholdReading& reading, Cycles now);
   void send_task_table(const wire::TaskTableMsg& table, Cycles now);
   void send_task_sample(const wire::TaskSampleMsg& sample, Cycles now);
   void send_end(Cycles total_cycles, Cycles now);

@@ -60,6 +60,4 @@ CoherenceOutcome CoherenceDirectory::on_write(u64 line, CoreId core, NodeId node
   return outcome;
 }
 
-void CoherenceDirectory::forget(u64 line) { lines_.erase(line); }
-
 }  // namespace npat::sim

@@ -36,9 +36,6 @@ class CoherenceDirectory {
   /// Records a write; invalidates remote sharers.
   CoherenceOutcome on_write(u64 line, CoreId core, NodeId node);
 
-  /// Drops a line from the directory (evicted everywhere / freed page).
-  void forget(u64 line);
-
   usize tracked_lines() const { return lines_.size(); }
   void clear() { lines_.clear(); }
 

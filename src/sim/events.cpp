@@ -3,7 +3,6 @@
 #include <unordered_map>
 
 #include "util/check.hpp"
-#include "util/strings.hpp"
 
 namespace npat::sim {
 
@@ -165,53 +164,6 @@ std::optional<Event> event_by_name(std::string_view name) {
   const auto it = index.find(name);
   if (it == index.end()) return std::nullopt;
   return it->second;
-}
-
-std::optional<Event> event_by_code(u16 code, u8 umask) {
-  for (const auto& info : kEvents) {
-    if (info.code == code && info.umask == umask) return info.event;
-  }
-  return std::nullopt;
-}
-
-namespace {
-const char* scope_name(EventScope scope) {
-  switch (scope) {
-    case EventScope::kFixed: return "fixed";
-    case EventScope::kCore: return "core";
-    case EventScope::kUncore: return "uncore";
-  }
-  return "?";
-}
-}  // namespace
-
-util::Json events_to_json() {
-  util::JsonArray entries;
-  for (const auto& info : kEvents) {
-    util::JsonObject obj;
-    obj["EventName"] = std::string(info.name);
-    obj["EventCode"] = util::format("0x%02X", info.code);
-    obj["UMask"] = util::format("0x%02X", info.umask);
-    obj["Scope"] = scope_name(info.scope);
-    obj["Category"] = std::string(info.category);
-    obj["BriefDescription"] = std::string(info.description);
-    entries.emplace_back(std::move(obj));
-  }
-  util::JsonObject doc;
-  doc["Platform"] = "npat simulated PMU";
-  doc["Events"] = std::move(entries);
-  return util::Json(std::move(doc));
-}
-
-std::vector<EventInfo> events_from_json(const util::Json& doc) {
-  std::vector<EventInfo> out;
-  for (const auto& entry : doc.at("Events").as_array()) {
-    const std::string name = entry.get_string("EventName");
-    const auto event = event_by_name(name);
-    if (!event) continue;  // unknown on this platform
-    out.push_back(event_info(*event));
-  }
-  return out;
 }
 
 }  // namespace npat::sim

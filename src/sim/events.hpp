@@ -13,7 +13,6 @@
 #include <string>
 #include <string_view>
 
-#include "util/json.hpp"
 #include "util/types.hpp"
 
 namespace npat::sim {
@@ -117,15 +116,6 @@ std::string_view event_name(Event event);
 
 /// Lookup by canonical name; nullopt if unknown.
 std::optional<Event> event_by_name(std::string_view name);
-/// Lookup by code/umask pair (EvSel presents event codes with unit masks).
-std::optional<Event> event_by_code(u16 code, u8 umask);
-
-/// Serializes the registry in the Intel-JSON-like layout EvSel reads
-/// ("the event codes available on the platform are read from a JSON file").
-util::Json events_to_json();
-/// Parses a platform event file; throws util::JsonError on malformed input.
-/// Unknown events are ignored (forward compatibility across platforms).
-std::vector<EventInfo> events_from_json(const util::Json& doc);
 
 /// Per-core (or per-node, for uncore) bank of always-running counters.
 struct CounterBlock {

@@ -340,14 +340,6 @@ Machine::AccessResult Machine::atomic_rmw(CoreId core, PhysAddr paddr, VirtAddr 
   return access_impl(core, paddr, vaddr, tlb_page, /*is_write=*/true, /*is_atomic=*/true);
 }
 
-Machine::AccessResult Machine::load(CoreId core, PhysAddr paddr, VirtAddr vaddr) {
-  return load(core, paddr, vaddr, page_of(vaddr));
-}
-
-Machine::AccessResult Machine::store(CoreId core, PhysAddr paddr, VirtAddr vaddr) {
-  return store(core, paddr, vaddr, page_of(vaddr));
-}
-
 Machine::AccessResult Machine::atomic_rmw(CoreId core, PhysAddr paddr, VirtAddr vaddr) {
   return atomic_rmw(core, paddr, vaddr, page_of(vaddr));
 }

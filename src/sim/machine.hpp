@@ -119,12 +119,10 @@ class Machine {
 
   /// `tlb_page` is the translation-cache key for the access (the OS layer
   /// supplies it; huge pages use a coarser key, so one TLB entry covers
-  /// 512 small pages). The three-argument overloads assume 4 KiB pages.
+  /// 512 small pages). The three-argument atomic_rmw assumes 4 KiB pages.
   AccessResult load(CoreId core, PhysAddr paddr, VirtAddr vaddr, u64 tlb_page);
   AccessResult store(CoreId core, PhysAddr paddr, VirtAddr vaddr, u64 tlb_page);
   AccessResult atomic_rmw(CoreId core, PhysAddr paddr, VirtAddr vaddr, u64 tlb_page);
-  AccessResult load(CoreId core, PhysAddr paddr, VirtAddr vaddr);
-  AccessResult store(CoreId core, PhysAddr paddr, VirtAddr vaddr);
   /// Locked read-modify-write (used for barriers/locks in workloads).
   AccessResult atomic_rmw(CoreId core, PhysAddr paddr, VirtAddr vaddr);
   /// Retires `count` ALU instructions.

@@ -51,11 +51,6 @@ MemorySystem::AccessResult MemorySystem::access(NodeId from_node, NodeId target_
   return result;
 }
 
-double MemorySystem::utilization(NodeId node) const {
-  NPAT_CHECK(node < nodes_.size());
-  return nodes_[node].utilization;
-}
-
 void MemorySystem::clear() {
   for (auto& n : nodes_) n = NodeState{};
 }

@@ -43,9 +43,6 @@ class MemorySystem {
   /// on `target_node`. Updates the target's bandwidth window.
   AccessResult access(NodeId from_node, NodeId target_node, Cycles now);
 
-  /// Current utilization estimate for a node (for tests and reports).
-  double utilization(NodeId node) const;
-
   const MemoryConfig& config() const noexcept { return config_; }
 
   void clear();

@@ -66,8 +66,4 @@ MachineConfig preset_by_name(const std::string& name) {
   return MachineConfig{};
 }
 
-std::vector<std::string> preset_names() {
-  return {"dl580", "dl580-full", "dual", "uma", "cube8"};
-}
-
 }  // namespace npat::sim

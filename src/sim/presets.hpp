@@ -39,6 +39,5 @@ MachineConfig eight_socket_cube(u32 cores_per_node = 4);
 /// All presets by name (used by example CLIs): "dl580", "dual", "uma",
 /// "cube8". Throws CheckError for unknown names.
 MachineConfig preset_by_name(const std::string& name);
-std::vector<std::string> preset_names();
 
 }  // namespace npat::sim

@@ -62,22 +62,6 @@ Topology make_fully_connected(u32 nodes, u32 cores_per_node) {
   return t;
 }
 
-Topology make_ring(u32 nodes, u32 cores_per_node) {
-  Topology t;
-  t.model_name = util::format("ring-%u", nodes);
-  t.nodes = nodes;
-  t.cores_per_node = cores_per_node;
-  t.distance_hops.assign(nodes, std::vector<u32>(nodes, 0));
-  for (u32 a = 0; a < nodes; ++a) {
-    for (u32 b = 0; b < nodes; ++b) {
-      const u32 clockwise = (b + nodes - a) % nodes;
-      t.distance_hops[a][b] = std::min(clockwise, nodes - clockwise);
-    }
-  }
-  t.validate();
-  return t;
-}
-
 Topology make_twisted_cube(u32 cores_per_node) {
   constexpr u32 kNodes = 8;
   Topology t;

@@ -45,7 +45,6 @@ struct Topology {
 /// Builders for the interconnect shapes discussed in the paper's outlook.
 /// All return validated topologies.
 Topology make_fully_connected(u32 nodes, u32 cores_per_node);
-Topology make_ring(u32 nodes, u32 cores_per_node);
 /// 8-socket "twisted hypercube" style: pairs of fully meshed quads with one
 /// hop between quads, two across the twist.
 Topology make_twisted_cube(u32 cores_per_node);

@@ -21,32 +21,9 @@ void Accumulator::add(double value) noexcept {
   m2_ += delta * (value - mean_);
 }
 
-void Accumulator::merge(const Accumulator& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double n1 = static_cast<double>(count_);
-  const double n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = n1 + n2;
-  mean_ += delta * n2 / total;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double Accumulator::variance() const noexcept {
   return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
 }
-
-double Accumulator::variance_population() const noexcept {
-  return count_ < 1 ? 0.0 : m2_ / static_cast<double>(count_);
-}
-
-double Accumulator::stddev() const noexcept { return std::sqrt(variance()); }
 
 double quantile_sorted(std::span<const double> sorted, double q) {
   NPAT_CHECK_MSG(!sorted.empty(), "quantile of empty sample");
@@ -57,24 +34,6 @@ double quantile_sorted(std::span<const double> sorted, double q) {
   const usize hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-Summary summarize(std::span<const double> values) {
-  NPAT_CHECK_MSG(!values.empty(), "summarize of empty sample");
-  Accumulator acc;
-  for (double v : values) acc.add(v);
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  Summary s;
-  s.count = acc.count();
-  s.mean = acc.mean();
-  s.stddev = acc.stddev();
-  s.min = acc.min();
-  s.max = acc.max();
-  s.median = quantile_sorted(sorted, 0.5);
-  s.p05 = quantile_sorted(sorted, 0.05);
-  s.p95 = quantile_sorted(sorted, 0.95);
-  return s;
 }
 
 double mean(std::span<const double> values) {
@@ -105,25 +64,6 @@ double mad(std::span<const double> values) {
   for (double v : values) deviations.push_back(std::fabs(v - center));
   std::sort(deviations.begin(), deviations.end());
   return quantile_sorted(deviations, 0.5);
-}
-
-std::optional<double> pearson(std::span<const double> x, std::span<const double> y) {
-  NPAT_CHECK_MSG(x.size() == y.size(), "pearson length mismatch");
-  if (x.size() < 2) return std::nullopt;
-  const double mx = mean(x);
-  const double my = mean(y);
-  double sxy = 0.0;
-  double sxx = 0.0;
-  double syy = 0.0;
-  for (usize i = 0; i < x.size(); ++i) {
-    const double dx = x[i] - mx;
-    const double dy = y[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx <= 0.0 || syy <= 0.0) return std::nullopt;
-  return sxy / std::sqrt(sxx * syy);
 }
 
 }  // namespace npat::stats

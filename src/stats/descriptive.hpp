@@ -3,7 +3,6 @@
 // paper does for t-tests on measured counter samples.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -15,15 +14,11 @@ namespace npat::stats {
 class Accumulator {
  public:
   void add(double value) noexcept;
-  void merge(const Accumulator& other) noexcept;
 
   usize count() const noexcept { return count_; }
   double mean() const noexcept { return mean_; }
   /// Sample variance with Bessel's correction; 0 for fewer than 2 samples.
   double variance() const noexcept;
-  /// Population variance (divides by n).
-  double variance_population() const noexcept;
-  double stddev() const noexcept;
   double min() const noexcept { return min_; }
   double max() const noexcept { return max_; }
   double sum() const noexcept { return mean_ * static_cast<double>(count_); }
@@ -35,20 +30,6 @@ class Accumulator {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-struct Summary {
-  usize count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;   // Bessel-corrected
-  double min = 0.0;
-  double max = 0.0;
-  double median = 0.0;
-  double p05 = 0.0;
-  double p95 = 0.0;
-};
-
-/// Full-pass summary of a sample (copies & sorts internally for quantiles).
-Summary summarize(std::span<const double> values);
 
 /// Linear-interpolated quantile of a *sorted* sample, q in [0,1].
 double quantile_sorted(std::span<const double> sorted, double q);
@@ -65,8 +46,5 @@ double median(std::span<const double> values);
 /// screens (EvSel's repeated-run quarantine) use this instead of the
 /// stddev, which the outlier itself inflates.
 double mad(std::span<const double> values);
-
-/// Pearson correlation coefficient; nullopt if either side is constant.
-std::optional<double> pearson(std::span<const double> x, std::span<const double> y);
 
 }  // namespace npat::stats

@@ -1,22 +1,11 @@
 #include "stats/multiple_comparisons.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "util/check.hpp"
 
 namespace npat::stats {
-
-std::vector<double> bonferroni_adjust(std::span<const double> p_values) {
-  const double m = static_cast<double>(p_values.size());
-  std::vector<double> out(p_values.size());
-  for (usize i = 0; i < p_values.size(); ++i) {
-    NPAT_CHECK_MSG(p_values[i] >= 0.0 && p_values[i] <= 1.0, "p-values must be in [0,1]");
-    out[i] = std::min(1.0, p_values[i] * m);
-  }
-  return out;
-}
 
 std::vector<double> holm_adjust(std::span<const double> p_values) {
   const usize m = p_values.size();
@@ -35,17 +24,6 @@ std::vector<double> holm_adjust(std::span<const double> p_values) {
     out[idx] = running_max;
   }
   return out;
-}
-
-usize bonferroni_required_tests(double alpha, usize comparisons) {
-  NPAT_CHECK_MSG(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
-  NPAT_CHECK_MSG(comparisons > 0, "need at least one comparison");
-  // Detecting at level alpha/m with a t-test needs roughly a factor
-  // ln(m/alpha)/ln(1/alpha) more samples (normal-tail approximation);
-  // round up to whole repetitions.
-  const double m = static_cast<double>(comparisons);
-  const double factor = std::log(m / alpha) / std::log(1.0 / alpha);
-  return static_cast<usize>(std::ceil(factor));
 }
 
 }  // namespace npat::stats

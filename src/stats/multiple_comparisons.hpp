@@ -1,7 +1,7 @@
 // Multiple-comparisons corrections. The paper (§III-B.1) warns that
 // screening hundreds of counters inflates false positives and names the
-// Bonferroni correction as the remedy; EvSel applies these adjustments when
-// flagging significant counters.
+// Bonferroni correction as the remedy; EvSel applies its Holm step-down
+// form when flagging significant counters.
 #pragma once
 
 #include <span>
@@ -11,17 +11,8 @@
 
 namespace npat::stats {
 
-/// Classic Bonferroni: p' = min(1, p·m).
-std::vector<double> bonferroni_adjust(std::span<const double> p_values);
-
 /// Holm–Bonferroni step-down adjustment (uniformly more powerful while
 /// controlling the family-wise error rate). Output is in input order.
 std::vector<double> holm_adjust(std::span<const double> p_values);
-
-/// Number of additional samples Bonferroni demands: smallest n such that a
-/// per-test level alpha/m is still detectable — exposed as a planning
-/// helper (the paper: "requires more samples when the possibility of a
-/// multiple comparisons problem exists").
-usize bonferroni_required_tests(double alpha, usize comparisons);
 
 }  // namespace npat::stats

@@ -151,10 +151,4 @@ std::vector<Fit> fit_all(std::span<const double> x, std::span<const double> y) {
   return fits;
 }
 
-std::optional<Fit> best_fit(std::span<const double> x, std::span<const double> y) {
-  auto fits = fit_all(x, y);
-  if (fits.empty()) return std::nullopt;
-  return std::move(fits.front());
-}
-
 }  // namespace npat::stats

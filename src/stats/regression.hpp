@@ -48,9 +48,6 @@ std::optional<Fit> fit_exponential(std::span<const double> x, std::span<const do
 /// Runs all three model families and returns them ordered best-R² first.
 std::vector<Fit> fit_all(std::span<const double> x, std::span<const double> y);
 
-/// Convenience: best fit of the three families, if any model converged.
-std::optional<Fit> best_fit(std::span<const double> x, std::span<const double> y);
-
 /// R² of predictions against observations (1 − SS_res/SS_tot); nullopt when
 /// the observations are constant.
 std::optional<double> r_squared(std::span<const double> observed,

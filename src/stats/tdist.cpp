@@ -66,46 +66,9 @@ double incomplete_beta(double a, double b, double x) {
   return 1.0 - front * beta_continued_fraction(b, a, 1.0 - x) / b;
 }
 
-double student_t_cdf(double t, double df) {
-  NPAT_CHECK_MSG(df > 0.0, "degrees of freedom must be positive");
-  if (std::isinf(t)) return t > 0 ? 1.0 : 0.0;
-  const double x = df / (df + t * t);
-  const double p = 0.5 * incomplete_beta(df / 2.0, 0.5, x);
-  return t >= 0.0 ? 1.0 - p : p;
-}
-
 double two_tailed_p(double t, double df) {
   const double x = df / (df + t * t);
   return incomplete_beta(df / 2.0, 0.5, x);
-}
-
-double digamma(double x) {
-  NPAT_CHECK_MSG(x > 0.0, "digamma requires x > 0");
-  double result = 0.0;
-  // Shift x upward until the asymptotic series is accurate.
-  while (x < 10.0) {
-    result -= 1.0 / x;
-    x += 1.0;
-  }
-  const double inv = 1.0 / x;
-  const double inv2 = inv * inv;
-  result += std::log(x) - 0.5 * inv -
-            inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 / 240.0)));
-  return result;
-}
-
-double trigamma(double x) {
-  NPAT_CHECK_MSG(x > 0.0, "trigamma requires x > 0");
-  double result = 0.0;
-  while (x < 10.0) {
-    result += 1.0 / (x * x);
-    x += 1.0;
-  }
-  const double inv = 1.0 / x;
-  const double inv2 = inv * inv;
-  result += inv * (1.0 + 0.5 * inv +
-                   inv2 * (1.0 / 6.0 - inv2 * (1.0 / 30.0 - inv2 * (1.0 / 42.0 - inv2 / 30.0))));
-  return result;
 }
 
 }  // namespace npat::stats

@@ -9,19 +9,10 @@ namespace npat::stats {
 /// Continued-fraction evaluation (Lentz), accurate to ~1e-12.
 double incomplete_beta(double a, double b, double x);
 
-/// CDF of Student's t distribution with `df` degrees of freedom.
-double student_t_cdf(double t, double df);
-
 /// Two-tailed p-value for a t statistic.
 double two_tailed_p(double t, double df);
 
 /// ln Γ(x) wrapper (std::lgamma without the sign-global issue).
 double log_gamma(double x);
-
-/// Digamma ψ(x) (asymptotic series with recurrence shift), x > 0.
-double digamma(double x);
-
-/// Trigamma ψ'(x), x > 0.
-double trigamma(double x);
 
 }  // namespace npat::stats

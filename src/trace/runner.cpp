@@ -57,8 +57,6 @@ OpAwaiter ThreadContext::barrier(u32 id) {
   return OpAwaiter{blocked || now() >= slice_end_};
 }
 
-OpAwaiter ThreadContext::yield() { return OpAwaiter{true}; }
-
 VirtAddr ThreadContext::alloc(u64 bytes, os::PagePolicy policy, sim::NodeId bind_node) {
   return runner_->space_->allocate(bytes, policy, bind_node);
 }
@@ -67,8 +65,6 @@ VirtAddr ThreadContext::alloc_huge(u64 bytes, os::PagePolicy policy,
                                    sim::NodeId bind_node) {
   return runner_->space_->allocate_huge(bytes, policy, bind_node);
 }
-
-void ThreadContext::free(VirtAddr base) { runner_->space_->free(base); }
 
 void ThreadContext::phase_mark(u32 id) {
   runner_->phase_marks_.push_back(PhaseMark{id, now()});
@@ -112,14 +108,6 @@ Program& Program::name_process(u32 pid, std::string process_name) {
   return *this;
 }
 
-Program& Program::add_process(u32 pid, std::string process_name, Program other) {
-  other.name_process(pid, std::move(process_name));
-  if (tasks.size() < threads.size()) tasks.resize(threads.size());
-  for (auto& body : other.threads) threads.push_back(std::move(body));
-  for (auto& spec : other.tasks) tasks.push_back(std::move(spec));
-  return *this;
-}
-
 std::vector<TaskSpec> resolved_tasks(const Program& program) {
   NPAT_CHECK_MSG(program.tasks.empty() || program.tasks.size() == program.threads.size(),
                  "program task specs must be empty or match the thread count");
@@ -155,8 +143,6 @@ void Runner::add_sampler(Cycles interval, std::function<void(Cycles)> callback) 
   NPAT_CHECK_MSG(interval > 0, "sampler interval must be positive");
   samplers_.push_back(Sampler{interval, 0, std::move(callback)});
 }
-
-void Runner::clear_samplers() { samplers_.clear(); }
 
 Cycles Runner::clock_of(u32 thread) const {
   return machine_->core_clock(threads_[thread].context->core_);

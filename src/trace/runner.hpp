@@ -39,8 +39,6 @@ class ThreadContext {
   /// Blocks until all program threads arrive; implemented with an atomic
   /// ticket on a shared line, so barriers generate real coherence traffic.
   OpAwaiter barrier(u32 id);
-  /// Cooperative preemption point without machine cost.
-  OpAwaiter yield();
 
   // --- immediate services (plain calls) ---
   VirtAddr alloc(u64 bytes, os::PagePolicy policy = os::PagePolicy::kFirstTouch,
@@ -48,7 +46,6 @@ class ThreadContext {
   /// 2 MiB-huge-page-backed allocation (one TLB entry per 2 MiB).
   VirtAddr alloc_huge(u64 bytes, os::PagePolicy policy = os::PagePolicy::kFirstTouch,
                       sim::NodeId bind_node = 0);
-  void free(VirtAddr base);
   /// Records a labelled timestamp in the run result (ground truth for
   /// phase-detection tests).
   void phase_mark(u32 id);
@@ -193,10 +190,6 @@ struct Program {
   /// Names this program's process: all threads get `pid` and
   /// `process_name`; threads keep (or are assigned) per-thread tids/names.
   Program& name_process(u32 pid, std::string process_name);
-
-  /// Appends `other`'s threads as a separate process `pid` — the way a
-  /// multi-process workload mix is composed from single-process programs.
-  Program& add_process(u32 pid, std::string process_name, Program other);
 };
 
 struct RunnerConfig {
@@ -240,7 +233,6 @@ class Runner {
   /// Registers a sampler fired every `interval` cycles of simulated time
   /// (catch-up semantics: a long op fires all missed ticks afterwards).
   void add_sampler(Cycles interval, std::function<void(Cycles)> callback);
-  void clear_samplers();
 
   /// Receives per-tag counter deltas (counter→code-location attribution):
   /// called whenever a thread switches its source tag, and once per thread

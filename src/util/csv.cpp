@@ -1,7 +1,6 @@
 #include "util/csv.hpp"
 
 #include "util/check.hpp"
-#include "util/strings.hpp"
 
 namespace npat::util {
 
@@ -28,13 +27,6 @@ void CsvWriter::append_field(const std::string& field, bool last) {
 void CsvWriter::add_row(const std::vector<std::string>& cells) {
   NPAT_CHECK_MSG(cells.size() == columns_, "CSV row width mismatch");
   for (usize i = 0; i < cells.size(); ++i) append_field(cells[i], i + 1 == cells.size());
-}
-
-void CsvWriter::add_row(const std::vector<double>& cells) {
-  std::vector<std::string> text;
-  text.reserve(cells.size());
-  for (double v : cells) text.push_back(compact_double(v, 9));
-  add_row(text);
 }
 
 }  // namespace npat::util

@@ -16,7 +16,6 @@ class CsvWriter {
   usize columns() const noexcept { return columns_; }
 
   void add_row(const std::vector<std::string>& cells);
-  void add_row(const std::vector<double>& cells);
 
   /// RFC-4180 output (quotes fields containing separators/quotes/newlines).
   std::string str() const { return buffer_; }

@@ -23,11 +23,6 @@ const Json* Json::find(const std::string& key) const {
   return it == obj.end() ? nullptr : &it->second;
 }
 
-std::string Json::get_string(const std::string& key, const std::string& fallback) const {
-  const Json* v = find(key);
-  return (v && v->is_string()) ? v->as_string() : fallback;
-}
-
 double Json::get_number(const std::string& key, double fallback) const {
   const Json* v = find(key);
   return (v && v->is_number()) ? v->as_number() : fallback;

@@ -68,7 +68,6 @@ class Json {
   /// Object member lookup; nullptr if absent.
   const Json* find(const std::string& key) const;
   /// Typed convenience getters with defaults.
-  std::string get_string(const std::string& key, const std::string& fallback = "") const;
   double get_number(const std::string& key, double fallback = 0.0) const;
   bool get_bool(const std::string& key, bool fallback = false) const;
 

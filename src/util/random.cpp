@@ -49,38 +49,4 @@ double Xoshiro256ss::normal() noexcept {
   return r * std::cos(theta);
 }
 
-double Xoshiro256ss::exponential(double rate) noexcept {
-  double u = 0.0;
-  do {
-    u = uniform();
-  } while (u <= 0.0);
-  return -std::log(u) / rate;
-}
-
-double Xoshiro256ss::gamma(double shape, double scale) noexcept {
-  if (shape < 1.0) {
-    // Boost to shape+1 and correct (Marsaglia–Tsang §6).
-    const double g = gamma(shape + 1.0, scale);
-    double u = 0.0;
-    do {
-      u = uniform();
-    } while (u <= 0.0);
-    return g * std::pow(u, 1.0 / shape);
-  }
-  const double d = shape - 1.0 / 3.0;
-  const double c = 1.0 / std::sqrt(9.0 * d);
-  for (;;) {
-    double x = 0.0;
-    double v = 0.0;
-    do {
-      x = normal();
-      v = 1.0 + c * x;
-    } while (v <= 0.0);
-    v = v * v * v;
-    const double u = uniform();
-    if (u < 1.0 - 0.0331 * x * x * x * x) return d * v * scale;
-    if (u > 0.0 && std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v))) return d * v * scale;
-  }
-}
-
 }  // namespace npat::util

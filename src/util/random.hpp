@@ -61,12 +61,6 @@ class Xoshiro256ss {
   /// Normal deviate with the given mean and standard deviation.
   double normal(double mean, double sd) noexcept { return mean + sd * normal(); }
 
-  /// Exponential deviate with the given rate.
-  double exponential(double rate) noexcept;
-
-  /// Gamma deviate (Marsaglia–Tsang) with shape k > 0 and scale theta.
-  double gamma(double shape, double scale) noexcept;
-
  private:
   static constexpr u64 rotl(u64 x, int k) noexcept { return (x << k) | (x >> (64 - k)); }
 

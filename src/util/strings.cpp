@@ -36,15 +36,6 @@ std::vector<std::string> split(std::string_view text, char sep) {
   return out;
 }
 
-std::string join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (usize i = 0; i < parts.size(); ++i) {
-    if (i) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 std::string trim(std::string_view text) {
   usize begin = 0;
   usize end = text.size();
@@ -53,22 +44,8 @@ std::string trim(std::string_view text) {
   return std::string(text.substr(begin, end - begin));
 }
 
-std::string to_lower(std::string_view text) {
-  std::string out(text);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return out;
-}
-
 bool starts_with(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
-}
-
-bool contains_ci(std::string_view haystack, std::string_view needle) {
-  if (needle.empty()) return true;
-  const std::string h = to_lower(haystack);
-  const std::string n = to_lower(needle);
-  return h.find(n) != std::string::npos;
 }
 
 std::string with_thousands(u64 value) {
@@ -81,11 +58,6 @@ std::string with_thousands(u64 value) {
     out += digits[i];
   }
   return out;
-}
-
-std::string with_thousands(i64 value) {
-  if (value < 0) return "-" + with_thousands(static_cast<u64>(-value));
-  return with_thousands(static_cast<u64>(value));
 }
 
 std::string si_scaled(double value, int precision) {

@@ -13,15 +13,11 @@ namespace npat::util {
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 std::vector<std::string> split(std::string_view text, char sep);
-std::string join(const std::vector<std::string>& parts, std::string_view sep);
 std::string trim(std::string_view text);
-std::string to_lower(std::string_view text);
 bool starts_with(std::string_view text, std::string_view prefix);
-bool contains_ci(std::string_view haystack, std::string_view needle);
 
 /// 1234567 -> "1,234,567".
 std::string with_thousands(u64 value);
-std::string with_thousands(i64 value);
 
 /// 1234567 -> "1.23 M"; 950 -> "950".
 std::string si_scaled(double value, int precision = 2);

@@ -708,10 +708,4 @@ const KernelSpec& kernel_by_name(const std::string& name) {
   return kernel_suite().front();
 }
 
-std::vector<std::string> kernel_names() {
-  std::vector<std::string> names;
-  for (const KernelSpec& k : kernel_suite()) names.push_back(k.name);
-  return names;
-}
-
 }  // namespace npat::validate

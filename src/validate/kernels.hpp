@@ -73,6 +73,5 @@ const std::vector<KernelSpec>& kernel_suite();
 
 /// Suite entry by name; throws util::CheckError on unknown names.
 const KernelSpec& kernel_by_name(const std::string& name);
-std::vector<std::string> kernel_names();
 
 }  // namespace npat::validate

@@ -124,30 +124,6 @@ util::Json TrustReport::to_json() const {
   return util::Json(std::move(doc));
 }
 
-TrustReport TrustReport::from_json(const util::Json& doc) {
-  TrustReport report;
-  report.machine = doc.get_string("machine");
-  if (const util::Json* kernels = doc.find("kernels")) {
-    for (const auto& k : kernels->as_array()) report.kernels.push_back(k.as_string());
-  }
-  if (const util::Json* events = doc.find("events")) {
-    for (const auto& [name, row] : events->as_object()) {
-      const auto event = sim::event_by_name(name);
-      NPAT_CHECK_MSG(event.has_value(), "trust report names unknown event: " + name);
-      EventTrust trust;
-      trust.event = *event;
-      trust.tier = tier_from_name(row.get_string("tier"));
-      trust.kernel = row.get_string("kernel");
-      trust.observed_ratio = row.at("observed_ratio").as_number();
-      trust.measured = row.at("measured").as_number();
-      trust.expected = row.at("expected").as_number();
-      trust.checks = static_cast<u32>(row.at("checks").as_number());
-      report.rows_[index_of(trust.event)] = trust;
-    }
-  }
-  return report;
-}
-
 std::string render_trust_table(const TrustReport& report, bool include_exact) {
   util::Table table({"event", "tier", "checks", "deciding kernel", "measured/expected"});
   std::string title = "counter trust (" +

@@ -90,9 +90,6 @@ class TrustReport {
   std::vector<sim::Event> events_at_or_below(TrustTier tier) const;
 
   util::Json to_json() const;
-  /// Hard-errors (util::CheckError / util::JsonError) on unknown events
-  /// or tiers — a trust report must never load approximately.
-  static TrustReport from_json(const util::Json& doc);
 
  private:
   std::array<std::optional<EventTrust>, sim::kEventCount> rows_{};

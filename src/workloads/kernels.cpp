@@ -32,59 +32,6 @@ trace::SimTask stream_body(trace::ThreadContext& ctx, StreamParams params) {
   }
 }
 
-struct MatmulShared {
-  VirtAddr a = 0;
-  VirtAddr b = 0;
-  VirtAddr c = 0;
-};
-
-trace::SimTask matmul_body(trace::ThreadContext& ctx, MatmulParams params,
-                           std::shared_ptr<MatmulShared> shared) {
-  const usize n = params.n;
-  const usize bytes = n * n * sizeof(double);
-  if (ctx.index() == 0) {
-    shared->a = ctx.alloc(bytes);
-    shared->b = ctx.alloc(bytes);
-    shared->c = ctx.alloc(bytes);
-    for (usize i = 0; i < n * n; ++i) {
-      co_await ctx.store(shared->a + i * sizeof(double));
-      co_await ctx.store(shared->b + i * sizeof(double));
-    }
-  }
-  co_await ctx.barrier(0);
-
-  auto at = [n](VirtAddr base, usize r, usize col) {
-    return base + (r * n + col) * sizeof(double);
-  };
-
-  // Row bands per thread, blocked i-k-j loop order.
-  const usize rows_per_thread = (n + ctx.thread_count() - 1) / ctx.thread_count();
-  const usize row_begin = ctx.index() * rows_per_thread;
-  const usize row_end = std::min(n, row_begin + rows_per_thread);
-  const usize block = params.block;
-
-  for (usize ii = row_begin; ii < row_end; ii += block) {
-    for (usize kk = 0; kk < n; kk += block) {
-      for (usize jj = 0; jj < n; jj += block) {
-        const usize i_hi = std::min(ii + block, row_end);
-        const usize k_hi = std::min(kk + block, n);
-        const usize j_hi = std::min(jj + block, n);
-        for (usize i = ii; i < i_hi; ++i) {
-          for (usize k = kk; k < k_hi; ++k) {
-            co_await ctx.load(at(shared->a, i, k));
-            for (usize j = jj; j < j_hi; ++j) {
-              co_await ctx.load(at(shared->b, k, j));
-              co_await ctx.compute(2);
-              co_await ctx.store(at(shared->c, i, j));
-            }
-          }
-        }
-      }
-    }
-  }
-  co_await ctx.barrier(1);
-}
-
 trace::SimTask gups_body(trace::ThreadContext& ctx, GupsParams params,
                          std::shared_ptr<VirtAddr> table) {
   const usize lines = params.table_bytes / kCacheLineBytes;
@@ -111,17 +58,6 @@ trace::Program stream_triad_program(const StreamParams& params) {
   return trace::Program::homogeneous(params.threads, [params](trace::ThreadContext& ctx) {
     return stream_body(ctx, params);
   }).name_process(1, "stream");
-}
-
-trace::Program matmul_program(const MatmulParams& params) {
-  NPAT_CHECK_MSG(params.n >= params.block && params.block >= 1, "invalid blocking");
-  NPAT_CHECK_MSG(params.threads >= 1, "need at least one thread");
-  auto shared = std::make_shared<MatmulShared>();
-  return trace::Program::homogeneous(params.threads,
-                                     [params, shared](trace::ThreadContext& ctx) {
-                                       return matmul_body(ctx, params, shared);
-                                     })
-      .name_process(1, "matmul");
 }
 
 trace::Program gups_program(const GupsParams& params) {

@@ -1,6 +1,6 @@
 // Generic HPC kernels used by examples, tests and topology experiments:
-// STREAM-style triad, blocked matrix multiplication, and a GUPS-style
-// random-access kernel. All are thread-count and placement parameterized.
+// STREAM-style triad and a GUPS-style random-access kernel. All are
+// thread-count and placement parameterized.
 #pragma once
 
 #include "trace/runner.hpp"
@@ -18,16 +18,6 @@ struct StreamParams {
 
 /// a[i] = b[i] + s * c[i], the bandwidth-bound STREAM triad.
 trace::Program stream_triad_program(const StreamParams& params);
-
-struct MatmulParams {
-  usize n = 96;         // square matrices n x n of doubles
-  usize block = 16;     // cache-blocking tile
-  u32 threads = 1;      // row-band parallelism
-};
-
-/// Blocked dense matmul C = A*B (the recurring example of NUMA cost-model
-/// papers; see §II-D).
-trace::Program matmul_program(const MatmulParams& params);
 
 struct GupsParams {
   u32 threads = 2;

@@ -39,32 +39,6 @@ CounterSignature remote_heavy_signature(usize nodes) {
   return signature;
 }
 
-TEST(PlacementName, RoundTripsThroughParser) {
-  const sim::Topology topology(sim::hpe_dl580_gen9(4).topology);
-  for (const auto affinity :
-       {os::AffinityPolicy::kCompact, os::AffinityPolicy::kScatter}) {
-    for (const auto page :
-         {std::optional<os::PagePolicy>{}, std::optional{os::PagePolicy::kFirstTouch},
-          std::optional{os::PagePolicy::kInterleave}, std::optional{os::PagePolicy::kBind}}) {
-      Placement placement;
-      placement.affinity = affinity;
-      placement.page_policy = page;
-      placement.bind_node = (page == os::PagePolicy::kBind) ? 3 : 0;
-      EXPECT_EQ(placement_from_name(placement.name(), topology), placement)
-          << placement.name();
-    }
-  }
-}
-
-TEST(PlacementName, HardErrorsOnTypos) {
-  const sim::Topology topology(sim::hpe_dl580_gen9(4).topology);
-  EXPECT_THROW(placement_from_name("scatter", topology), CheckError);
-  EXPECT_THROW(placement_from_name("scatter+firsttouch", topology), CheckError);
-  EXPECT_THROW(placement_from_name("sctater+bind(0)", topology), CheckError);
-  EXPECT_THROW(placement_from_name("compact+bind(9)", topology), CheckError);
-  EXPECT_THROW(placement_from_name("compact+bind(x)", topology), CheckError);
-}
-
 TEST(ScoreCandidates, PrefersLocalPlacementForRemoteHeavyPrivateData) {
   const sim::Topology topology(sim::hpe_dl580_gen9(4).topology);
   Placement baseline;

@@ -13,7 +13,7 @@ namespace {
 Measurement at(double param, sim::Event event, std::initializer_list<double> values) {
   Measurement m("p=" + std::to_string(param));
   m.set_parameter("p", param);
-  for (double v : values) m.add_value(event, v);
+  for (double v : values) m.add_values({{event, v}});
   return m;
 }
 
@@ -57,8 +57,8 @@ TEST(Correlate, StrongestSortsByAbsoluteR) {
     Measurement m("p=" + std::to_string(p));
     m.set_parameter("p", p);
     for (int rep = 0; rep < 3; ++rep) {
-      m.add_value(sim::Event::kAtomicOps, 5 * p + rng.normal(0, 0.01));  // clean
-      m.add_value(sim::Event::kBranchMisses, p + rng.normal(0, 5.0));    // noisy
+      m.add_values({{sim::Event::kAtomicOps, 5 * p + rng.normal(0, 0.01)}});  // clean
+      m.add_values({{sim::Event::kBranchMisses, p + rng.normal(0, 5.0)}});    // noisy
     }
     ms.push_back(std::move(m));
   }
@@ -75,7 +75,7 @@ TEST(Correlate, ThresholdFilters) {
     Measurement m("x");
     m.set_parameter("p", p);
     for (int rep = 0; rep < 4; ++rep) {
-      m.add_value(sim::Event::kL3Miss, rng.normal(100, 30));  // pure noise
+      m.add_values({{sim::Event::kL3Miss, rng.normal(100, 30)}});  // pure noise
     }
     ms.push_back(std::move(m));
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "evsel/model_catalog.hpp"
 
 namespace npat::evsel {
@@ -10,15 +12,15 @@ namespace {
 Comparison sample_comparison() {
   Measurement a("run-a");
   Measurement b("run-b");
-  for (int rep = 0; rep < 4; ++rep) {
-    a.add_value(sim::Event::kL1dMiss, 100 + rep);
-    b.add_value(sim::Event::kL1dMiss, 1200 + rep);  // big increase
-    a.add_value(sim::Event::kL2PrefetchRequests, 1000 + rep);
-    b.add_value(sim::Event::kL2PrefetchRequests, 100 + rep);  // big decrease
-    a.add_value(sim::Event::kL3Miss, 0);
-    b.add_value(sim::Event::kL3Miss, 0);  // zero row
-    a.add_value(sim::Event::kCycles, 5000 + rep * 3);
-    b.add_value(sim::Event::kCycles, 5001 + rep * 3);  // insignificant
+  for (double rep = 0; rep < 4; ++rep) {
+    a.add_values({{sim::Event::kL1dMiss, 100 + rep}});
+    b.add_values({{sim::Event::kL1dMiss, 1200 + rep}});  // big increase
+    a.add_values({{sim::Event::kL2PrefetchRequests, 1000 + rep}});
+    b.add_values({{sim::Event::kL2PrefetchRequests, 100 + rep}});  // big decrease
+    a.add_values({{sim::Event::kL3Miss, 0}});
+    b.add_values({{sim::Event::kL3Miss, 0}});  // zero row
+    a.add_values({{sim::Event::kCycles, 5000 + rep * 3}});
+    b.add_values({{sim::Event::kCycles, 5001 + rep * 3}});  // insignificant
   }
   return compare(a, b);
 }
@@ -73,8 +75,8 @@ TEST(Report, CorrelationsTableShowsFitAndR) {
   m3.set_parameter("p", 4);
   for (auto* m : {&m1, &m2, &m3}) {
     const double p = m->parameter("p");
-    m->add_value(sim::Event::kAtomicOps, 3 * p);
-    m->add_value(sim::Event::kAtomicOps, 3 * p + 0.1);
+    m->add_values({{sim::Event::kAtomicOps, 3 * p}});
+    m->add_values({{sim::Event::kAtomicOps, 3 * p + 0.1}});
   }
   const auto result = correlate("p", {m1, m2, m3});
   const std::string out = render_correlations(result, 0.5);
@@ -86,37 +88,11 @@ TEST(Report, CorrelationsTableShowsFitAndR) {
 
 TEST(Report, MeasurementListingShowsStats) {
   Measurement m("listing");
-  m.add_value(sim::Event::kCycles, 100);
-  m.add_value(sim::Event::kCycles, 110);
+  m.add_values({{sim::Event::kCycles, 100}});
+  m.add_values({{sim::Event::kCycles, 110}});
   const std::string out = render_measurement(m);
   EXPECT_NE(out.find("cpu.cycles"), std::string::npos);
   EXPECT_NE(out.find("105"), std::string::npos);
-}
-
-TEST(Report, JsonExports) {
-  const auto comparison = sample_comparison();
-  const auto doc = comparison_to_json(comparison);
-  EXPECT_EQ(doc.at("a").as_string(), "run-a");
-  EXPECT_GE(doc.at("rows").as_array().size(), 4u);
-  // Reparse to prove well-formedness.
-  EXPECT_NO_THROW(util::Json::parse(doc.dump(2)));
-}
-
-TEST(Report, SweepCsvHasHeaderAndRows) {
-  Measurement m1("p=1");
-  m1.set_parameter("p", 1);
-  Measurement m2("p=2");
-  m2.set_parameter("p", 2);
-  Measurement m3("p=3");
-  m3.set_parameter("p", 3);
-  for (auto* m : {&m1, &m2, &m3}) {
-    m->add_value(sim::Event::kCycles, m->parameter("p") * 10);
-    m->add_value(sim::Event::kCycles, m->parameter("p") * 10 + 1);
-  }
-  const auto result = correlate("p", {m1, m2, m3});
-  const std::string csv = sweep_to_csv(result);
-  EXPECT_NE(csv.find("p,event,repetition,value"), std::string::npos);
-  EXPECT_NE(csv.find("cpu.cycles"), std::string::npos);
 }
 
 TEST(ModelCatalog, TimelineMentionsAllEras) {
@@ -131,11 +107,18 @@ TEST(ModelCatalog, TimelineMentionsAllEras) {
 }
 
 TEST(ModelCatalog, EntriesWellFormed) {
-  for (const auto& entry : model_catalog()) {
-    EXPECT_FALSE(entry.name.empty());
-    EXPECT_GE(entry.year, 1975);
-    EXPECT_LE(entry.year, 2017);
+  // Every rendered entry line reads "  <year>  <name> <note>".
+  std::istringstream lines(render_model_timeline());
+  usize entries = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("  ", 0) != 0) continue;
+    const int year = std::stoi(line.substr(2, 4));
+    EXPECT_GE(year, 1975) << line;
+    EXPECT_LE(year, 2017) << line;
+    EXPECT_NE(line[8], ' ') << line;  // a non-empty name
+    ++entries;
   }
+  EXPECT_EQ(entries, 34u);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Trust plumbing through EvSel: measurements carry per-event trust tiers
 // and the retry-exhaustion count, comparisons quarantine refuted events
-// from the Welch/Holm family, and the report surfaces all of it in text
-// and JSON.
+// from the Welch/Holm family, and the report surfaces all of it.
 #include <gtest/gtest.h>
 
 #include "evsel/compare.hpp"
@@ -26,8 +25,8 @@ validate::EventTrust make_trust(sim::Event event, TrustTier tier, const std::str
 Measurement side(const std::string& label, double cycles_base, double l1_base) {
   Measurement m(label);
   for (int rep = 0; rep < 4; ++rep) {
-    m.add_value(sim::Event::kCycles, cycles_base + rep);
-    m.add_value(sim::Event::kL1dMiss, l1_base + 0.5 * rep);
+    m.add_values({{sim::Event::kCycles, cycles_base + rep}});
+    m.add_values({{sim::Event::kL1dMiss, l1_base + 0.5 * rep}});
   }
   return m;
 }
@@ -57,11 +56,13 @@ TEST(MeasurementTrust, JsonRoundTripKeepsTrustAndExhaustion) {
   m.note_retry_exhausted(1);
   m.annotate_trust(report);
 
-  const Measurement copy = Measurement::from_json(m.to_json());
-  EXPECT_EQ(copy.quarantined_runs(), 2u);
-  EXPECT_EQ(copy.retry_exhausted_runs(), 1u);
-  EXPECT_EQ(copy.trust(sim::Event::kCycles), TrustTier::kSuspect);
-  EXPECT_EQ(copy.trust(sim::Event::kL1dMiss), TrustTier::kUnvalidated);
+  const util::Json doc = util::Json::parse(m.to_json().dump());
+  EXPECT_DOUBLE_EQ(doc.at("quarantined_runs").as_number(), 2.0);
+  EXPECT_DOUBLE_EQ(doc.at("retry_exhausted_runs").as_number(), 1.0);
+  // The event absent from the report stays unvalidated and is omitted.
+  const util::Json& trust = doc.at("trust");
+  EXPECT_EQ(trust.at("cpu.cycles").as_string(), "suspect");
+  EXPECT_EQ(trust.find("l1d.replacement"), nullptr);
 }
 
 TEST(MeasurementTrust, CleanMeasurementJsonOmitsTheNewFields) {
@@ -69,9 +70,6 @@ TEST(MeasurementTrust, CleanMeasurementJsonOmitsTheNewFields) {
   const util::Json doc = m.to_json();
   EXPECT_EQ(doc.find("retry_exhausted_runs"), nullptr);
   EXPECT_EQ(doc.find("trust"), nullptr);
-  const Measurement copy = Measurement::from_json(doc);
-  EXPECT_EQ(copy.retry_exhausted_runs(), 0u);
-  EXPECT_FALSE(copy.has_trust_annotations());
 }
 
 TEST(CompareTrust, RefutedEventIsQuarantinedFromTheTest) {
@@ -98,9 +96,6 @@ TEST(CompareTrust, RefutedEventIsQuarantinedFromTheTest) {
   EXPECT_EQ(trusted.trust, TrustTier::kExact);
   EXPECT_FALSE(trusted.trust_quarantined);
   EXPECT_DOUBLE_EQ(trusted.adjusted_p, trusted.test.p_two_tailed);
-  for (const ComparisonRow& row : comparison.significant_rows(0.05)) {
-    EXPECT_NE(row.event, sim::Event::kCycles);
-  }
 }
 
 TEST(CompareTrust, AllEventsRefutedIsACountedNoOp) {
@@ -120,7 +115,6 @@ TEST(CompareTrust, AllEventsRefutedIsACountedNoOp) {
     EXPECT_TRUE(row.trust_quarantined);
     EXPECT_FALSE(row.significant(0.05));
   }
-  EXPECT_TRUE(comparison.significant_rows(0.05).empty());
   // Rendering the degenerate comparison neither throws nor divides by zero.
   ReportOptions render_options;
   render_options.include_all_events = true;
@@ -145,7 +139,7 @@ TEST(CompareTrust, MeasurementAnnotationsMergeWorstTier) {
   EXPECT_EQ(comparison.row(sim::Event::kL1dMiss).trust, TrustTier::kUnvalidated);
 }
 
-TEST(ReportTrust, TitleAndJsonCarryQuarantineAndExhaustion) {
+TEST(ReportTrust, TitleCarriesQuarantineAndExhaustion) {
   validate::TrustReport report;
   report.record(make_trust(sim::Event::kCycles, TrustTier::kRefuted, "alu"));
 
@@ -167,24 +161,6 @@ TEST(ReportTrust, TitleAndJsonCarryQuarantineAndExhaustion) {
   EXPECT_NE(text.find("trust"), std::string::npos);
   EXPECT_NE(text.find("quarantined"), std::string::npos);
 
-  const util::Json doc = comparison_to_json(comparison);
-  EXPECT_DOUBLE_EQ(doc.at("quarantined_a").as_number(), 1.0);
-  EXPECT_DOUBLE_EQ(doc.at("quarantined_b").as_number(), 2.0);
-  EXPECT_DOUBLE_EQ(doc.at("retry_exhausted_a").as_number(), 1.0);
-  EXPECT_DOUBLE_EQ(doc.at("retry_exhausted_b").as_number(), 0.0);
-  EXPECT_DOUBLE_EQ(doc.at("refuted_quarantined").as_number(), 1.0);
-  bool saw_refuted_row = false;
-  for (const util::Json& row : doc.at("rows").as_array()) {
-    // Welch inputs sit next to the results in every row.
-    EXPECT_DOUBLE_EQ(row.at("repetitions_a").as_number(), 4.0);
-    EXPECT_DOUBLE_EQ(row.at("repetitions_b").as_number(), 4.0);
-    if (row.get_string("event") == std::string(sim::event_name(sim::Event::kCycles))) {
-      saw_refuted_row = true;
-      EXPECT_EQ(row.get_string("trust"), "refuted");
-      EXPECT_TRUE(row.at("trust_quarantined").as_bool());
-    }
-  }
-  EXPECT_TRUE(saw_refuted_row);
 }
 
 TEST(ReportTrust, MeasurementPaneShowsExhaustionAndTrustColumn) {

@@ -49,7 +49,6 @@ TEST(FleetCollector, MergesThreeProbesWithHostIds) {
   }
 
   EXPECT_EQ(collector.poll(), 15u);
-  EXPECT_TRUE(collector.all_ended());
   ASSERT_EQ(collector.probe_count(), 3u);
   for (usize h = 0; h < 3; ++h) {
     const ProbeState& state = collector.probe(h);
@@ -273,11 +272,6 @@ TEST(FleetCollector, NullChannelRejected) {
   FleetCollector collector;
   EXPECT_THROW(collector.add_probe(nullptr), CheckError);
   EXPECT_THROW(collector.probe(0), CheckError);
-}
-
-TEST(FleetCollector, AllEndedFalseWithoutProbes) {
-  FleetCollector collector;
-  EXPECT_FALSE(collector.all_ended());
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include "memhist/builder.hpp"
 #include "memhist/remote.hpp"
 #include "sim/presets.hpp"
-#include "stats/gamma_fit.hpp"
 #include "workloads/cache_scan.hpp"
 #include "workloads/mlc_remote.hpp"
 
@@ -117,37 +116,6 @@ TEST(RemoteProbe, LiveSessionOverLossyLink) {
     const auto histogram = collector.build(memhist::HistogramMode::kOccurrences);
     EXPECT_EQ(histogram.bins().size(), collector.readings().size());
   }
-}
-
-TEST(GammaModel, FitsLatencySamplesBetterThanItsNormalMoments) {
-  // The paper's §IV-A.2 improvement: latency-ish samples are lower-bounded
-  // and right-skewed; the shifted gamma must capture the skew.
-  auto config = sim::dual_socket_small(1);
-  config.l3.size_bytes = MiB(1);
-  sim::Machine machine(config);
-  trace::Run run(machine);
-  perf::LoadLatencySession session(machine);
-  session.arm(100, 4);
-  workloads::MlcParams params;
-  params.buffer_bytes = MiB(4);
-  params.chase_steps = 60000;
-  run.run(workloads::mlc_program(params));
-  const auto reading = session.disarm();
-
-  std::vector<double> latencies;
-  for (const auto& sample : reading.samples) {
-    latencies.push_back(static_cast<double>(sample.latency));
-  }
-  ASSERT_GT(latencies.size(), 500u);
-
-  const auto fit = stats::fit_gamma_shifted(latencies);
-  ASSERT_TRUE(fit.has_value());
-  // The estimated lower bound sits near (at or below) the smallest sample
-  // and above zero — far more informative than a normal's mean − 3σ.
-  const double min_sample = *std::min_element(latencies.begin(), latencies.end());
-  EXPECT_LE(fit->location, min_sample);
-  EXPECT_GT(fit->location, 0.0);
-  EXPECT_NEAR(fit->mean(), stats::mean(latencies), stats::mean(latencies) * 0.05);
 }
 
 TEST(FullPlatform, EveryCounterMeasurableThroughBatching) {

@@ -195,7 +195,8 @@ TEST_P(TopologyProperties, RemoteLatencyMonotoneInHops) {
   // Base DRAM latency per hop distance must be strictly increasing.
   std::map<u32, Cycles> latency_by_hops;
   for (sim::NodeId node = 0; node < machine.nodes(); ++node) {
-    const auto result = machine.load(0, sim::make_paddr(node, 0), 0x100000 + node * 0x1000);
+    const VirtAddr vaddr = 0x100000 + node * 0x1000;
+    const auto result = machine.load(0, sim::make_paddr(node, 0), vaddr, page_of(vaddr));
     latency_by_hops[machine.topology().hops(0, node)] = result.latency;
     machine.reset();
   }

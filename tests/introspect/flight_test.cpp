@@ -36,9 +36,9 @@ TEST(FlightRecorder, EvictionIsBoundedAndTotalsSurviveIt) {
     recorder.record(FlightKind::kFrameDrop, i, "host", "drop", /*value=*/2);
   }
   // The ring holds only the newest 4 events...
-  EXPECT_EQ(recorder.size(), 4u);
-  EXPECT_EQ(recorder.evicted(), 6u);
   const auto events = recorder.snapshot();
+  EXPECT_EQ(events.size(), 4u);
+  EXPECT_EQ(recorder.evicted(), 6u);
   EXPECT_EQ(events.front().sequence, 6u);
   EXPECT_EQ(events.back().sequence, 9u);
   // ...but the per-kind totals are eviction-proof: reconciliation against
@@ -54,7 +54,7 @@ TEST(FlightRecorder, DisabledRecordingIsANoOp) {
     obs::EnabledGuard off(false);
     recorder.record(FlightKind::kResync, 1, "host", "ignored");
   }
-  EXPECT_EQ(recorder.size(), 0u);
+  EXPECT_EQ(recorder.snapshot().size(), 0u);
   EXPECT_EQ(recorder.recorded(), 0u);
   EXPECT_EQ(recorder.total(FlightKind::kResync), 0u);
 }
@@ -97,7 +97,7 @@ TEST(FlightRecorder, ResetClearsRingAndTotals) {
   FlightRecorder recorder(4);
   recorder.record(FlightKind::kNote, 1, "x", "y");
   recorder.reset();
-  EXPECT_EQ(recorder.size(), 0u);
+  EXPECT_EQ(recorder.snapshot().size(), 0u);
   EXPECT_EQ(recorder.recorded(), 0u);
   EXPECT_EQ(recorder.total(FlightKind::kNote), 0u);
 }
@@ -112,23 +112,16 @@ TEST(FlightKindNames, AreStableIdentifiers) {
 TEST(AlertHook, CommittedTransitionsLandInTheFlightRing) {
   obs::EnabledGuard on(true);
   install_alert_hook();
-  ASSERT_NE(obs::transition_observer(), nullptr);
 
   const u64 raises_before = flight().total(FlightKind::kAlertRaise);
   const u64 clears_before = flight().total(FlightKind::kAlertClear);
 
-  obs::AlertTransition raise;
-  raise.rule = "remote_ratio";
-  raise.subject = "node1";
-  raise.from = obs::Severity::kOk;
-  raise.to = obs::Severity::kWarn;
-  raise.window = 17;
-  obs::transition_observer()(raise);
-
-  obs::AlertTransition clear = raise;
-  clear.from = obs::Severity::kWarn;
-  clear.to = obs::Severity::kOk;
-  obs::transition_observer()(clear);
+  // A live engine commits a raise, then a clear, for one subject.
+  obs::AlertEngine engine;
+  engine.add_rule(obs::remote_ratio_rule(0.20, 0.50, /*dwell_windows=*/1));
+  engine.evaluate("remote_ratio", "node1", 0.30);
+  engine.evaluate("remote_ratio", "node1", 0.0);
+  ASSERT_EQ(engine.transitions().size(), 2u);
 
   EXPECT_EQ(flight().total(FlightKind::kAlertRaise), raises_before + 1);
   EXPECT_EQ(flight().total(FlightKind::kAlertClear), clears_before + 1);
@@ -140,7 +133,7 @@ TEST(AlertHook, CommittedTransitionsLandInTheFlightRing) {
   EXPECT_EQ(last.kind, FlightKind::kAlertClear);
   EXPECT_EQ(last.subject, "remote_ratio:node1");
   EXPECT_EQ(last.detail, "warn->ok");
-  EXPECT_EQ(last.tick, 17u);
+  EXPECT_EQ(last.tick, engine.transitions().back().window);
 }
 
 }  // namespace

@@ -15,10 +15,10 @@ TEST(HistogramQuantile, EmptyAndDegenerateCases) {
   obs::EnabledGuard on(true);
   obs::Registry registry;
   obs::Histogram& h = registry.histogram("npat_test_q", {10.0, 100.0});
-  EXPECT_DOUBLE_EQ(histogram_quantile(h, 0.99), 0.0);  // no observations
+  EXPECT_DOUBLE_EQ(histogram_quantile_estimate(h, 0.99).value, 0.0);  // no observations
   h.observe(5.0);
   // q=0 pins to the winning bucket's lower edge (0 for the first bucket).
-  EXPECT_DOUBLE_EQ(histogram_quantile(h, 0.0), 0.0);
+  EXPECT_DOUBLE_EQ(histogram_quantile_estimate(h, 0.0).value, 0.0);
 }
 
 TEST(HistogramQuantile, InterpolatesInsideTheWinningBucket) {
@@ -29,9 +29,9 @@ TEST(HistogramQuantile, InterpolatesInsideTheWinningBucket) {
   for (int i = 0; i < 8; ++i) h.observe(50.0);
   for (int i = 0; i < 2; ++i) h.observe(500.0);
   // Median: rank 5 of 10 lands in the (10, 100] bucket, 5/8ths through.
-  EXPECT_DOUBLE_EQ(histogram_quantile(h, 0.5), 10.0 + 90.0 * (5.0 / 8.0));
+  EXPECT_DOUBLE_EQ(histogram_quantile_estimate(h, 0.5).value, 10.0 + 90.0 * (5.0 / 8.0));
   // p90: rank 9 lands in (100, 1000], 1/2 through.
-  EXPECT_DOUBLE_EQ(histogram_quantile(h, 0.9), 100.0 + 900.0 * (1.0 / 2.0));
+  EXPECT_DOUBLE_EQ(histogram_quantile_estimate(h, 0.9).value, 100.0 + 900.0 * (1.0 / 2.0));
 }
 
 TEST(HistogramQuantile, OverflowBucketClampsToLastFiniteBound) {
@@ -40,7 +40,7 @@ TEST(HistogramQuantile, OverflowBucketClampsToLastFiniteBound) {
   obs::Histogram& h = registry.histogram("npat_test_q", {10.0});
   h.observe(5.0);
   h.observe(1e9);  // +Inf bucket
-  EXPECT_DOUBLE_EQ(histogram_quantile(h, 0.99), 10.0);
+  EXPECT_DOUBLE_EQ(histogram_quantile_estimate(h, 0.99).value, 10.0);
 }
 
 TEST(HistogramQuantile, EstimateFlagsTheOverflowBucket) {

@@ -8,8 +8,11 @@ namespace npat::linalg {
 namespace {
 
 TEST(Cholesky, SolvesSpdSystem) {
-  // A = LLᵀ with known solution.
-  Matrix a{{4, 2}, {2, 3}};
+  // A = LLᵀ with known solution: {4, 2}, {2, 3}.
+  Matrix a(2, 2);
+  a(0, 0) = 4;
+  a(0, 1) = a(1, 0) = 2;
+  a(1, 1) = 3;
   const auto x = cholesky_solve(a, {10, 8});
   ASSERT_TRUE(x.has_value());
   const Vector check = a * *x;
@@ -18,29 +21,40 @@ TEST(Cholesky, SolvesSpdSystem) {
 }
 
 TEST(Cholesky, RejectsIndefinite) {
-  Matrix a{{0, 1}, {1, 0}};
+  Matrix a(2, 2);  // {0, 1}, {1, 0}
+  a(0, 1) = a(1, 0) = 1;
   EXPECT_FALSE(cholesky_solve(a, {1, 1}).has_value());
 }
 
 TEST(Qr, DecomposesAndReconstructs) {
-  Matrix a{{1, 2}, {3, 4}, {5, 6}};
+  Matrix a(3, 2);  // {1, 2}, {3, 4}, {5, 6}
+  for (usize r = 0; r < 3; ++r) {
+    a(r, 0) = static_cast<double>(2 * r + 1);
+    a(r, 1) = static_cast<double>(2 * r + 2);
+  }
   const auto qr = qr_decompose(a);
   ASSERT_TRUE(qr.has_value());
   const Matrix reconstructed = qr->q * qr->r;
-  EXPECT_LT(reconstructed.max_abs_diff(a), 1e-10);
-
   // Columns of Q are orthonormal.
   const Matrix qtq = qr->q.transposed() * qr->q;
-  EXPECT_LT(qtq.max_abs_diff(Matrix::identity(2)), 1e-10);
+  for (usize c = 0; c < 2; ++c) {
+    for (usize r = 0; r < 3; ++r) EXPECT_NEAR(reconstructed(r, c), a(r, c), 1e-10);
+    for (usize k = 0; k < 2; ++k) EXPECT_NEAR(qtq(k, c), k == c ? 1.0 : 0.0, 1e-10);
+  }
 }
 
 TEST(Qr, DetectsRankDeficiency) {
-  Matrix a{{1, 2}, {2, 4}, {3, 6}};  // second column = 2 * first
+  Matrix a(3, 2);  // second column = 2 * first
+  for (usize r = 0; r < 3; ++r) {
+    a(r, 0) = static_cast<double>(r + 1);
+    a(r, 1) = 2.0 * a(r, 0);
+  }
   EXPECT_FALSE(qr_decompose(a).has_value());
 }
 
 TEST(Qr, LeastSquaresExactForConsistentSystem) {
-  Matrix a{{1, 0}, {0, 1}, {1, 1}};
+  Matrix a(3, 2);  // {1, 0}, {0, 1}, {1, 1}
+  a(0, 0) = a(1, 1) = a(2, 0) = a(2, 1) = 1;
   const Vector b = a * Vector{2.0, -1.0};
   const auto x = qr_least_squares(a, b);
   ASSERT_TRUE(x.has_value());

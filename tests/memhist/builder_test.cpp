@@ -17,12 +17,6 @@ sim::MachineConfig small_l3() {
   return config;
 }
 
-TEST(Builder, SliceCyclesForHz) {
-  // 2.4 GHz at the paper's 100 Hz -> 24 M cycles per slice.
-  EXPECT_EQ(slice_cycles_for_hz(2.4, 100.0), 24000000u);
-  EXPECT_THROW(slice_cycles_for_hz(0.0, 100.0), CheckError);
-}
-
 TEST(Builder, LadderMustAscend) {
   sim::Machine machine(small_l3());
   trace::Run run(machine);

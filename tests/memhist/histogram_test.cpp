@@ -72,14 +72,6 @@ TEST(Histogram, RenderContainsLabelsAndFootnote) {
   EXPECT_NE(out.find("(event occurrences)"), std::string::npos);
 }
 
-TEST(Histogram, JsonExportReparses) {
-  const auto h = sample_histogram(HistogramMode::kCosts);
-  const auto doc = h.to_json();
-  EXPECT_EQ(doc.at("mode").as_string(), "costs");
-  EXPECT_EQ(doc.at("bins").as_array().size(), 5u);
-  EXPECT_NO_THROW(util::Json::parse(doc.dump()));
-}
-
 TEST(Histogram, AnnotationPlacesMachineLevels) {
   auto config = sim::hpe_dl580_gen9(1);
   // Bins straddling the machine's characteristic latencies.

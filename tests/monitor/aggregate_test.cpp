@@ -103,9 +103,6 @@ TEST(TieredHistory, DownsamplesByFactor) {
   EXPECT_EQ(history.tier(0).size(), 1000u);
   EXPECT_EQ(history.tier(1).size(), 100u);
   EXPECT_EQ(history.tier(2).size(), 10u);
-  EXPECT_EQ(history.scale(0), 1u);
-  EXPECT_EQ(history.scale(1), 10u);
-  EXPECT_EQ(history.scale(2), 100u);
 
   // A tier-2 sample covers 100 base samples: sums scale, snapshots do not.
   const Sample& coarse = history.tier(2).peek(0);
@@ -237,25 +234,6 @@ TEST(AggregateTasks, RatiosDegradeGracefullyWhenIdle) {
   EXPECT_DOUBLE_EQ(window.tasks[0].remote_ratio(), 0.0);
   EXPECT_DOUBLE_EQ(window.tasks[0].cpi(), 0.0);
   EXPECT_DOUBLE_EQ(window.tasks[0].avg_load_latency(), 0.0);
-}
-
-TEST(MergeTaskSamples, SumsDeltasTakesLastTimestampAndSnapshot) {
-  TaskSample first;
-  first.timestamp = 100;
-  first.tasks = {task_row(1, 1, 0, 1)};
-  first.tasks[0].areas = {{0x100, 5}};
-  TaskSample second;
-  second.timestamp = 200;
-  second.tasks = {task_row(1, 1, 0, 2), task_row(2, 1, 1, 1)};
-  second.tasks[0].areas = {{0x100, 8}};
-
-  const TaskSample merged = merge_task_samples(std::vector<TaskSample>{first, second});
-  EXPECT_EQ(merged.timestamp, 200u);
-  ASSERT_EQ(merged.tasks.size(), 2u);
-  EXPECT_EQ(merged.tasks[0].instructions, 300u);
-  ASSERT_EQ(merged.tasks[0].areas.size(), 1u);
-  EXPECT_EQ(merged.tasks[0].areas[0].samples, 8u);
-  EXPECT_EQ(merged.tasks[1].pid, 2u);  // task first seen mid-merge joins
 }
 
 }  // namespace

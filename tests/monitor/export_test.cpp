@@ -7,6 +7,36 @@
 namespace npat::monitor {
 namespace {
 
+namespace wire = memhist::wire;
+
+/// Every frame a wire::Decoder yields from a (possibly damaged) stream, in
+/// order, plus its drop count: the input FleetCollector folds.
+struct Frames {
+  std::vector<wire::Message> messages;
+  usize dropped = 0;
+};
+
+Frames decode_all(const std::vector<u8>& bytes) {
+  wire::Decoder decoder;
+  decoder.feed(bytes);
+  decoder.finish();
+  Frames out;
+  while (auto message = decoder.poll()) out.messages.push_back(std::move(*message));
+  out.dropped = decoder.dropped_frames();
+  return out;
+}
+
+/// The monitor samples among the frames, converted by monitor::from_wire.
+std::vector<Sample> samples_of(const Frames& frames) {
+  std::vector<Sample> out;
+  for (const wire::Message& message : frames.messages) {
+    if (const auto* sample = std::get_if<wire::MonitorSampleMsg>(&message)) {
+      out.push_back(from_wire(*sample));
+    }
+  }
+  return out;
+}
+
 Sample make_sample(Cycles timestamp, usize nodes) {
   Sample sample;
   sample.timestamp = timestamp;
@@ -72,24 +102,26 @@ TEST(Export, StreamRoundTrip) {
   std::vector<Sample> samples;
   for (Cycles t = 1; t <= 50; ++t) samples.push_back(make_sample(t * 1000, 2));
 
-  const auto bytes = encode_stream(samples);
-  const DecodedStream decoded = decode_stream(bytes);
-
-  EXPECT_EQ(decoded.version, memhist::wire::kProtocolVersion);
-  EXPECT_EQ(decoded.node_count, 2u);
-  EXPECT_TRUE(decoded.ended);
-  EXPECT_EQ(decoded.total_cycles, 50000u);
-  EXPECT_EQ(decoded.dropped_frames, 0u);
-  ASSERT_EQ(decoded.samples.size(), samples.size());
-  for (usize i = 0; i < samples.size(); ++i) EXPECT_EQ(decoded.samples[i], samples[i]);
+  const Frames frames = decode_all(encode_stream(samples));
+  ASSERT_GE(frames.messages.size(), 2u);
+  const auto* hello = std::get_if<wire::Hello>(&frames.messages.front());
+  ASSERT_NE(hello, nullptr);
+  EXPECT_EQ(hello->version, wire::kProtocolVersion);
+  EXPECT_EQ(hello->node_count, 2u);
+  const auto* end = std::get_if<wire::End>(&frames.messages.back());
+  ASSERT_NE(end, nullptr);
+  EXPECT_EQ(end->total_cycles, 50000u);
+  EXPECT_EQ(frames.dropped, 0u);
+  EXPECT_EQ(samples_of(frames), samples);
 }
 
 TEST(Export, EmptyStreamStillFrames) {
-  const auto bytes = encode_stream({});
-  const DecodedStream decoded = decode_stream(bytes);
-  EXPECT_TRUE(decoded.ended);
-  EXPECT_TRUE(decoded.samples.empty());
-  EXPECT_EQ(decoded.node_count, 0u);
+  const Frames frames = decode_all(encode_stream({}));
+  ASSERT_EQ(frames.messages.size(), 2u);
+  const auto* hello = std::get_if<wire::Hello>(&frames.messages.front());
+  ASSERT_NE(hello, nullptr);
+  EXPECT_EQ(hello->node_count, 0u);
+  EXPECT_NE(std::get_if<wire::End>(&frames.messages.back()), nullptr);
 }
 
 TEST(Export, CorruptedStreamLosesOnlyDamagedSamples) {
@@ -98,11 +130,12 @@ TEST(Export, CorruptedStreamLosesOnlyDamagedSamples) {
   auto bytes = encode_stream(samples);
   bytes[bytes.size() / 2] ^= 0xA5;  // one flipped byte mid-stream
 
-  const DecodedStream decoded = decode_stream(bytes);
-  EXPECT_GE(decoded.samples.size(), samples.size() - 1);
-  EXPECT_LE(decoded.dropped_frames, 2u);
+  const Frames frames = decode_all(bytes);
+  const std::vector<Sample> decoded = samples_of(frames);
+  EXPECT_GE(decoded.size(), samples.size() - 1);
+  EXPECT_LE(frames.dropped, 2u);
   // Every surviving sample is bit-exact — corruption can drop, not distort.
-  for (const Sample& sample : decoded.samples) {
+  for (const Sample& sample : decoded) {
     const usize index = static_cast<usize>(sample.timestamp / 10) - 1;
     ASSERT_LT(index, samples.size());
     EXPECT_EQ(sample, samples[index]);
@@ -115,9 +148,11 @@ TEST(Export, TruncatedStreamRecoversPrefix) {
   auto bytes = encode_stream(samples);
   bytes.resize(bytes.size() - 25);  // lose the End frame and part of the last sample
 
-  const DecodedStream decoded = decode_stream(bytes);
-  EXPECT_FALSE(decoded.ended);
-  EXPECT_GE(decoded.samples.size(), 8u);
+  const Frames frames = decode_all(bytes);
+  for (const wire::Message& message : frames.messages) {
+    EXPECT_EQ(std::get_if<wire::End>(&message), nullptr);
+  }
+  EXPECT_GE(samples_of(frames).size(), 8u);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include <map>
 #include <utility>
 
-#include "perf/session.hpp"
 #include "sim/presets.hpp"
 #include "workloads/parallel_sort.hpp"
 
@@ -79,12 +78,20 @@ TEST(TaskSampler, DeltasSumToPerTaskDomains) {
       latency_loads[{t.pid, t.tid}] += t.latency_loads;
     }
   }
-  const auto profiles = perf::read_task_profiles(rig.machine);
-  ASSERT_EQ(profiles.size(), 2u);
-  for (const perf::TaskProfile& profile : profiles) {
-    const auto key = std::make_pair(profile.pid, profile.tid);
-    EXPECT_EQ(instructions[key], profile.instructions);
-    EXPECT_EQ(latency_loads[key], profile.latency_loads);
+  // Oracle: the machine's per-task domains, summed across cores.
+  rig.machine.flush_task_accounting();
+  std::map<std::pair<u32, u32>, std::pair<u64, u64>> domains;
+  for (u32 core = 0; core < rig.machine.cores(); ++core) {
+    for (const auto& [key, domain] : rig.machine.pmu(core).task_domains()) {
+      auto& [domain_instructions, domain_latency_loads] = domains[{key.pid, key.tid}];
+      domain_instructions += domain.counters[sim::Event::kInstructions];
+      domain_latency_loads += domain.latency_loads;
+    }
+  }
+  ASSERT_EQ(domains.size(), 2u);
+  for (const auto& [key, totals] : domains) {
+    EXPECT_EQ(instructions[key], totals.first);
+    EXPECT_EQ(latency_loads[key], totals.second);
   }
 }
 

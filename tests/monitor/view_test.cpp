@@ -63,7 +63,7 @@ TEST(Sparkline, ClampsOutOfRange) {
 
 TEST(View, RendersSummaryAndPerNodeColumns) {
   util::AnsiGuard plain(false);
-  const std::string frame = render_view(make_window());
+  const std::string frame = render_view(make_window(), {});
 
   // Summary line.
   EXPECT_NE(frame.find("npat-top"), std::string::npos);
@@ -109,7 +109,7 @@ TEST(View, AlertColumnRendersEngineSeverities) {
 
   ViewOptions options;
   options.node_alerts = evaluate_node_alerts(engine, window);
-  const std::string first = render_view(window, options);
+  const std::string first = render_view(window, {}, options);
   ASSERT_NE(first.find("Alert"), std::string::npos);
   // One window is below the dwell: both nodes still read ok.
   EXPECT_EQ(first.find("warn"), std::string::npos);
@@ -119,21 +119,21 @@ TEST(View, AlertColumnRendersEngineSeverities) {
   options.node_alerts = evaluate_node_alerts(engine, window);
   EXPECT_EQ(options.node_alerts[0], obs::Severity::kOk);
   EXPECT_EQ(options.node_alerts[1], obs::Severity::kBad);
-  const std::string second = render_view(window, options);
+  const std::string second = render_view(window, {}, options);
   EXPECT_NE(second.find("bad"), std::string::npos);
   EXPECT_EQ(engine.state("remote_ratio", "node1"), obs::Severity::kBad);
 }
 
 TEST(View, NoAlertColumnWithoutEngine) {
   util::AnsiGuard plain(false);
-  const std::string out = render_view(make_window());
+  const std::string out = render_view(make_window(), {});
   EXPECT_EQ(out.find("Alert"), std::string::npos);
 }
 
 TEST(View, ByteStableWithoutAnsi) {
   util::AnsiGuard plain(false);
-  const std::string a = render_view(make_window());
-  const std::string b = render_view(make_window());
+  const std::string a = render_view(make_window(), {});
+  const std::string b = render_view(make_window(), {});
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.find('\x1b'), std::string::npos);
 }
@@ -143,11 +143,11 @@ TEST(View, ClearScreenOnlyWithAnsi) {
   options.clear_screen = true;
   {
     util::AnsiGuard plain(false);
-    EXPECT_EQ(render_view(make_window(), options).find('\x1b'), std::string::npos);
+    EXPECT_EQ(render_view(make_window(), {}, options).find('\x1b'), std::string::npos);
   }
   {
     util::AnsiGuard colored(true);
-    EXPECT_EQ(render_view(make_window(), options).rfind("\x1b[H", 0), 0u);
+    EXPECT_EQ(render_view(make_window(), {}, options).rfind("\x1b[H", 0), 0u);
   }
 }
 

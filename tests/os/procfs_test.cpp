@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/check.hpp"
-
 namespace npat::os {
 namespace {
 
@@ -26,19 +24,6 @@ TEST(Procfs, RecorderCapturesFootprint) {
   EXPECT_EQ(samples[2].timestamp, 200u);
 }
 
-TEST(Procfs, SeriesExtraction) {
-  const auto topology = sim::make_fully_connected(1, 1);
-  AddressSpace space(topology);
-  FootprintRecorder recorder(space);
-  space.allocate(kPageBytes);
-  recorder.sample(50);
-  const auto times = recorder.times();
-  const auto reserved = recorder.reserved();
-  ASSERT_EQ(times.size(), 1u);
-  EXPECT_DOUBLE_EQ(times[0], 50.0);
-  EXPECT_DOUBLE_EQ(reserved[0], static_cast<double>(kPageBytes));
-}
-
 TEST(Procfs, ResidentVsReserved) {
   const auto topology = sim::make_fully_connected(1, 1);
   AddressSpace space(topology);
@@ -48,13 +33,6 @@ TEST(Procfs, ResidentVsReserved) {
   recorder.sample(1);
   EXPECT_EQ(recorder.samples()[0].reserved_bytes, 4 * kPageBytes);
   EXPECT_EQ(recorder.samples()[0].resident_bytes, kPageBytes);
-}
-
-TEST(Procfs, CyclesPerSample) {
-  // 2.4 GHz at 10 Hz -> 240 M cycles between samples.
-  EXPECT_EQ(cycles_per_sample(2.4, 10.0), 240000000u);
-  EXPECT_EQ(cycles_per_sample(1.0, 100.0), 10000000u);
-  EXPECT_THROW(cycles_per_sample(0.0, 10.0), CheckError);
 }
 
 TEST(Procfs, ClearDropsHistory) {

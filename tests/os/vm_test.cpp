@@ -141,23 +141,6 @@ TEST(Vm, PagesPerNodeAccounting) {
   EXPECT_EQ(counts[2], 0u);
 }
 
-TEST(Vm, PagePolicyNamesRoundTrip) {
-  EXPECT_EQ(page_policy_from_name("first-touch"), PagePolicy::kFirstTouch);
-  EXPECT_EQ(page_policy_from_name("bind"), PagePolicy::kBind);
-  EXPECT_EQ(page_policy_from_name("interleave"), PagePolicy::kInterleave);
-  for (const auto policy :
-       {PagePolicy::kFirstTouch, PagePolicy::kBind, PagePolicy::kInterleave}) {
-    EXPECT_EQ(page_policy_from_name(page_policy_name(policy)), policy);
-  }
-}
-
-TEST(Vm, PagePolicyFromNameHardErrorsOnUnknown) {
-  // A typo must never fall back silently to some default placement.
-  EXPECT_THROW(page_policy_from_name("firsttouch"), CheckError);
-  EXPECT_THROW(page_policy_from_name("membind"), CheckError);
-  EXPECT_THROW(page_policy_from_name(""), CheckError);
-}
-
 TEST(Vm, PolicyOverrideRedirectsEveryAllocation) {
   const auto topology = topo4();
   AddressSpace space(topology);
@@ -234,72 +217,6 @@ TEST(Vm, FirstTouchFromEveryNodeOfDl580) {
   for (sim::NodeId n = 0; n < config.topology.nodes; ++n) {
     EXPECT_EQ(space.pages_per_node()[n], 1u) << "node " << n;
   }
-}
-
-TEST(Vm, MigrateMovesSmallAndHugePages) {
-  const auto topology = topo4();
-  AddressSpace space(topology);
-  std::vector<u64> unmapped;
-  std::vector<std::pair<sim::NodeId, sim::NodeId>> moves;
-  space.on_unmap = [&](u64 key) { unmapped.push_back(key); };
-  space.on_migrate = [&](u64, sim::NodeId from, sim::NodeId to) { moves.push_back({from, to}); };
-
-  const VirtAddr small = space.allocate(2 * kPageBytes);
-  space.translate(small, 0);
-  space.translate(small + kPageBytes, 1);
-  const VirtAddr huge = space.allocate_huge(kHugePageBytes);
-  space.translate(huge, 0);
-
-  // Small range: the node-0 page moves, the node-1 page is already home.
-  EXPECT_EQ(space.migrate(small, 2 * kPageBytes, 1), 1u);
-  EXPECT_EQ(sim::node_of_paddr(*space.peek(small)), 1u);
-  ASSERT_EQ(unmapped.size(), 1u);
-  EXPECT_EQ(unmapped[0], small / kPageBytes);  // TLB shootdown of the moved page
-
-  // Huge range: moves as one frame, shootdown uses the huge TLB key.
-  EXPECT_EQ(space.migrate(huge, kHugePageBytes, 3), 1u);
-  EXPECT_EQ(sim::node_of_paddr(*space.peek(huge)), 3u);
-  ASSERT_EQ(unmapped.size(), 2u);
-  EXPECT_EQ(unmapped[1], (huge / kHugePageBytes) | kHugeTlbKeyBit);
-
-  EXPECT_EQ(space.pages_per_node()[0], 0u);
-  EXPECT_EQ(space.pages_per_node()[1], 2u);
-  EXPECT_EQ(space.pages_per_node()[3], kHugePageBytes / kPageBytes);
-  EXPECT_EQ(space.pages_migrated(), 2u);
-  ASSERT_EQ(moves.size(), 2u);
-  EXPECT_EQ(moves[0], (std::pair<sim::NodeId, sim::NodeId>{0, 1}));
-
-  // Idempotent: everything already sits on its target.
-  EXPECT_EQ(space.migrate(small, 2 * kPageBytes, 1), 0u);
-}
-
-TEST(Vm, ResetRestoresFreshState) {
-  const auto topology = topo4();
-
-  // Reference: what a brand-new space hands out.
-  AddressSpace fresh(topology);
-  const VirtAddr fresh_base = fresh.allocate(2 * kPageBytes);
-  const PhysAddr fresh_paddr = fresh.translate(fresh_base, 2);
-
-  AddressSpace space(topology);
-  usize unmaps = 0;
-  space.on_unmap = [&](u64) { ++unmaps; };
-  const VirtAddr small = space.allocate(4 * kPageBytes, PagePolicy::kInterleave);
-  for (u64 p = 0; p < 4; ++p) space.translate(small + p * kPageBytes, 0);
-  const VirtAddr huge = space.allocate_huge(kHugePageBytes);
-  space.translate(huge, 1);
-
-  space.reset();
-  EXPECT_EQ(unmaps, 5u);  // 4 small pages + 1 huge page shot down
-  EXPECT_EQ(space.footprint_bytes(), 0u);
-  EXPECT_EQ(space.resident_bytes(), 0u);
-  EXPECT_EQ(space.pages_migrated(), 0u);
-  for (const u64 count : space.pages_per_node()) EXPECT_EQ(count, 0u);
-
-  // The next round is bit-identical to a fresh space: same virtual base,
-  // same physical frame.
-  EXPECT_EQ(space.allocate(2 * kPageBytes), fresh_base);
-  EXPECT_EQ(space.translate(fresh_base, 2), fresh_paddr);
 }
 
 TEST(Vm, FreeOfLastRegionRestartsBumpAllocators) {

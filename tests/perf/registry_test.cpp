@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-
 namespace npat::perf {
 namespace {
 
@@ -21,26 +18,11 @@ TEST(Registry, ScopeFiltering) {
   EXPECT_GE(uncore.size(), 6u);
 }
 
-TEST(Registry, CategoryFiltering) {
-  const auto cache = events_in_category("cache");
-  EXPECT_GE(cache.size(), 8u);
-  EXPECT_TRUE(events_in_category("no-such-category").empty());
-}
-
 TEST(Registry, FixedAndUncorePredicates) {
   EXPECT_TRUE(is_fixed(sim::Event::kCycles));
   EXPECT_FALSE(is_fixed(sim::Event::kL1dMiss));
   EXPECT_TRUE(is_uncore(sim::Event::kUncImcReads));
   EXPECT_FALSE(is_uncore(sim::Event::kL1dMiss));
-}
-
-TEST(Registry, EventFileRoundTrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "npat_events_test.json").string();
-  write_event_file(path);
-  const auto events = load_event_file(path);
-  EXPECT_EQ(events.size(), sim::kEventCount);
-  std::remove(path.c_str());
 }
 
 }  // namespace

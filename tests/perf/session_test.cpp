@@ -69,7 +69,7 @@ TEST(Session, MeasuresExactDeltas) {
   CountingSession session(machine, {sim::Event::kInstructions, sim::Event::kL1dMiss});
   session.start();
   machine.execute(0, 1000);
-  machine.load(0, sim::make_paddr(0, 0), 0x10000);
+  machine.load(0, sim::make_paddr(0, 0), 0x10000, page_of(0x10000));
   const auto values = session.stop();
 
   ASSERT_EQ(values.size(), 2u);
@@ -94,7 +94,8 @@ TEST(Session, UncoreEventsMeasured) {
   CountingSession session(machine, {sim::Event::kUncImcReads});
   session.start();
   for (u64 i = 0; i < 10; ++i) {
-    machine.load(0, sim::make_paddr(0, i * kPageBytes), 0x10000 + i * kPageBytes);
+    const VirtAddr vaddr = 0x10000 + i * kPageBytes;
+    machine.load(0, sim::make_paddr(0, i * kPageBytes), vaddr, page_of(vaddr));
   }
   const auto values = session.stop();
   EXPECT_GE(values[0].value, 10.0);  // demand misses + prefetches
@@ -129,108 +130,19 @@ TEST(Session, CpuSetCoversOwningSocketUncore) {
   // Attach to node 1's cores only; DRAM reads on node 0 are invisible.
   CountingSession node1(machine, {sim::Event::kUncImcReads}, CpuSet{2, 3});
   node1.start();
-  machine.load(0, sim::make_paddr(0, 0), 0x10000);  // node 0 traffic
+  machine.load(0, sim::make_paddr(0, 0), 0x10000, page_of(0x10000));  // node 0 traffic
   const double node1_reads = node1.stop()[0].value;
   EXPECT_DOUBLE_EQ(node1_reads, 0.0);
 
   CountingSession node0(machine, {sim::Event::kUncImcReads}, CpuSet{0});
   node0.start();
-  machine.load(0, sim::make_paddr(0, kPageBytes), 0x20000);
+  machine.load(0, sim::make_paddr(0, kPageBytes), 0x20000, page_of(0x20000));
   EXPECT_GE(node0.stop()[0].value, 1.0);
 }
 
 TEST(Session, InvalidCpuRejected) {
   sim::Machine machine(sim::uma_single_node(2));
   EXPECT_THROW(CountingSession(machine, {sim::Event::kCycles}, CpuSet{99}), CheckError);
-}
-
-TEST(TaskProfiles, MergesDomainsAcrossCoresAndPicksDominantNode) {
-  sim::Machine machine(sim::dual_socket_small(2));  // cores 0,1 node 0; 2,3 node 1
-  const sim::TaskKey task{10, 1};
-  machine.pmu(0).set_current_task(task);
-  machine.execute(0, 100);
-  machine.pmu(2).set_current_task(task);
-  machine.execute(2, 900);  // node 1 carries most of the task's cycles
-
-  const auto profiles = read_task_profiles(machine);
-  ASSERT_EQ(profiles.size(), 1u);
-  EXPECT_EQ(profiles[0].pid, 10u);
-  EXPECT_EQ(profiles[0].tid, 1u);
-  EXPECT_EQ(profiles[0].instructions, 1000u);
-  EXPECT_EQ(profiles[0].node, 1u);
-}
-
-TEST(TaskProfiles, SortedByPidTidAndDerivedColumns) {
-  sim::Machine machine(sim::uma_single_node(2));
-  machine.pmu(0).set_current_task(sim::TaskKey{2, 1});
-  machine.execute(0, 50);
-  machine.pmu(1).set_current_task(sim::TaskKey{1, 1});
-  machine.execute(1, 100);
-
-  const auto profiles = read_task_profiles(machine);
-  ASSERT_EQ(profiles.size(), 2u);
-  EXPECT_EQ(profiles[0].pid, 1u);
-  EXPECT_EQ(profiles[1].pid, 2u);
-  // Derived columns degrade to 0 rather than dividing by zero.
-  EXPECT_DOUBLE_EQ(profiles[0].rma_lma_ratio(), 0.0);
-  EXPECT_DOUBLE_EQ(profiles[0].avg_load_latency(), 0.0);
-  EXPECT_GT(profiles[0].cpi(), 0.0);
-}
-
-TEST(TaskProfiles, ReadFlushesInFlightSlices) {
-  // No explicit flush between execute() and the read: read_task_profiles
-  // must fold the in-flight slice itself.
-  sim::Machine machine(sim::uma_single_node(1));
-  machine.pmu(0).set_current_task(sim::TaskKey{1, 1});
-  machine.execute(0, 42);
-  const auto profiles = read_task_profiles(machine);
-  ASSERT_EQ(profiles.size(), 1u);
-  EXPECT_EQ(profiles[0].instructions, 42u);
-}
-
-TEST(TaskSession, StopReturnsOnlyDeltasSinceStart) {
-  sim::Machine machine(sim::uma_single_node(2));
-  machine.pmu(0).set_current_task(sim::TaskKey{1, 1});
-  machine.execute(0, 500);  // pre-session work
-
-  TaskCountingSession session(machine);
-  session.start();
-  machine.execute(0, 123);
-  machine.pmu(1).set_current_task(sim::TaskKey{1, 2});  // first seen mid-session
-  machine.execute(1, 77);
-  const auto profiles = session.stop();
-
-  ASSERT_EQ(profiles.size(), 2u);
-  EXPECT_EQ(profiles[0].tid, 1u);
-  EXPECT_EQ(profiles[0].instructions, 123u);
-  EXPECT_EQ(profiles[1].tid, 2u);
-  EXPECT_EQ(profiles[1].instructions, 77u);
-}
-
-TEST(TaskSession, IdleTasksDropOutOfTheWindow) {
-  sim::Machine machine(sim::uma_single_node(2));
-  machine.pmu(0).set_current_task(sim::TaskKey{1, 1});
-  machine.execute(0, 500);
-  machine.pmu(0).flush_current_task();
-
-  TaskCountingSession session(machine);
-  session.start();
-  // Task (1, 1) does nothing this window; only (2, 1) runs.
-  machine.pmu(1).set_current_task(sim::TaskKey{2, 1});
-  machine.execute(1, 10);
-  const auto profiles = session.stop();
-  ASSERT_EQ(profiles.size(), 1u);
-  EXPECT_EQ(profiles[0].pid, 2u);
-}
-
-TEST(TaskSession, StartStopStateChecked) {
-  sim::Machine machine(sim::uma_single_node(1));
-  TaskCountingSession session(machine);
-  EXPECT_THROW(session.stop(), CheckError);
-  session.start();
-  EXPECT_THROW(session.start(), CheckError);
-  session.stop();
-  EXPECT_THROW(session.stop(), CheckError);
 }
 
 }  // namespace

@@ -80,24 +80,25 @@ TEST(DrillE2E, EncodedV5StreamDecodesAndDrills) {
   const Capture& cap = capture();
   const std::vector<u8> bytes =
       monitor::encode_task_stream(cap.task_samples, cap.registry.name_table());
-  const monitor::DecodedTaskStream decoded = monitor::decode_task_stream(bytes);
+  // The recorded stream replays through the collector's decode path.
+  fleet::FleetCollector collector;
+  auto pair = util::make_loopback_pair();
+  collector.add_probe(pair.b);
+  pair.a->send(bytes);
+  collector.poll();
+  const fleet::ProbeState& decoded = collector.probe(0);
   EXPECT_EQ(decoded.version, memhist::wire::kProtocolVersion);
   EXPECT_TRUE(decoded.ended);
-  EXPECT_EQ(decoded.dropped_frames, 0u);
-  EXPECT_EQ(decoded.unknown_task_rows, 0u);
-  ASSERT_EQ(decoded.samples.size(), cap.task_samples.size());
+  EXPECT_EQ(decoded.damage.dropped_frames, 0u);
+  EXPECT_EQ(decoded.damage.orphaned_task_rows, 0u);
+  ASSERT_EQ(decoded.task_samples.size(), cap.task_samples.size());
 
   // The decoded stream drives the drill exactly like the live ring does.
   const monitor::WindowStats nodes = monitor::aggregate(cap.node_samples);
   DrillScope scope;
   scope.nodes = &nodes;
-  scope.tasks = monitor::aggregate_tasks(decoded.samples);
-  TaskRegistry registry;
-  for (const auto& [identity, names] : decoded.names) {
-    registry.add(TaskInfo{identity.first, identity.second, names.process_name,
-                          names.thread_name});
-  }
-  scope.registry = &registry;
+  scope.tasks = monitor::aggregate_tasks(decoded.task_samples);
+  scope.registry = &decoded.registry;
 
   DrillDown drill;
   drill.apply_key('d', scope);  // node 0 -> processes
@@ -137,7 +138,7 @@ TEST(DrillE2E, FleetCollectorFedOverProtocolV5Drills) {
   }
   probe.send_end(last);
   collector.poll();
-  EXPECT_TRUE(collector.all_ended());
+  EXPECT_TRUE(collector.probe(0).ended);
 
   const fleet::FleetView view = collector.view();
   ASSERT_EQ(view.hosts.size(), 1u);

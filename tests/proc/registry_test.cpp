@@ -38,10 +38,10 @@ TEST(TaskRegistry, FindAndIdOf) {
   const TaskInfo* by_identity = registry.find_identity(7, 3);
   ASSERT_NE(by_identity, nullptr);
   EXPECT_EQ(by_identity->process_name, "gups");
-  EXPECT_EQ(registry.id_of(7, 3), std::optional<u32>(id));
+  EXPECT_EQ(registry.task_ids().at({7, 3}), id);
   EXPECT_EQ(registry.find(99), nullptr);
   EXPECT_EQ(registry.find_identity(7, 4), nullptr);
-  EXPECT_EQ(registry.id_of(8, 3), std::nullopt);
+  EXPECT_EQ(registry.task_ids().count({8, 3}), 0u);
 }
 
 TEST(TaskRegistry, AddWithIdRebindsClashingId) {
@@ -54,8 +54,8 @@ TEST(TaskRegistry, AddWithIdRebindsClashingId) {
   const TaskInfo* found = registry.find(5);
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->pid, 2u);
-  EXPECT_EQ(registry.id_of(1, 1), std::nullopt);
-  EXPECT_EQ(registry.id_of(2, 2), std::optional<u32>(5u));
+  EXPECT_EQ(registry.task_ids().count({1, 1}), 0u);
+  EXPECT_EQ(registry.task_ids().at({2, 2}), 5u);
 }
 
 TEST(TaskRegistry, AddWithIdAdvancesNextId) {
@@ -99,30 +99,10 @@ TEST(TaskRegistry, ToWireAndMergeWireRoundTrip) {
   collector_side.merge_wire(table);
   EXPECT_EQ(collector_side.size(), 3u);
   EXPECT_EQ(collector_side.task_ids(), probe_side.task_ids());
-  EXPECT_EQ(collector_side.identities(), probe_side.identities());
   const TaskInfo* mlc = collector_side.find_identity(3, 1);
   ASSERT_NE(mlc, nullptr);
   EXPECT_EQ(mlc->process_name, "mlc");
   EXPECT_EQ(mlc->thread_name, "loader");
-}
-
-TEST(TaskRegistry, TakeUnannouncedDeliversEachTaskOnce) {
-  TaskRegistry registry;
-  registry.add(info(1, 1, "p", "a"));
-  registry.add(info(1, 2, "p", "b"));
-  std::vector<wire::TaskTableEntry> first = registry.take_unannounced();
-  ASSERT_EQ(first.size(), 2u);
-  EXPECT_EQ(first[0].tid, 1u);
-  EXPECT_EQ(first[1].tid, 2u);
-  EXPECT_TRUE(registry.take_unannounced().empty());
-
-  // Re-registering a known identity does not re-announce it; a genuinely
-  // new task does get announced.
-  registry.add(info(1, 1, "p", "a-renamed"));
-  registry.add(info(2, 1, "q", "c"));
-  std::vector<wire::TaskTableEntry> second = registry.take_unannounced();
-  ASSERT_EQ(second.size(), 1u);
-  EXPECT_EQ(second[0].pid, 2u);
 }
 
 TEST(TaskRegistry, NameTableBridgesToMonitorExports) {

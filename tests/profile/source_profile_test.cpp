@@ -112,19 +112,6 @@ TEST(SourceProfile, ReportRendersHotspots) {
   EXPECT_LT(out.find("hot-loop"), out.find("cold-path"));
 }
 
-TEST(SourceProfile, JsonExport) {
-  SourceProfile profile;
-  profile.register_region(1, "x");
-  sim::CounterBlock delta;
-  delta.add(sim::Event::kCycles, 5);
-  profile.record(1, delta);
-  const auto doc = profile.to_json();
-  const auto& regions = doc.at("regions").as_array();
-  ASSERT_EQ(regions.size(), 1u);
-  EXPECT_EQ(regions[0].at("name").as_string(), "x");
-  EXPECT_EQ(regions[0].at("counters").at("cpu.cycles").as_int(), 5);
-}
-
 TEST(SourceProfile, NoSinkNoCost) {
   // Without attach(), tagging is a no-op and nothing is recorded.
   sim::Machine machine(sim::uma_single_node(1));

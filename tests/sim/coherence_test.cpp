@@ -74,15 +74,6 @@ TEST(Coherence, SameNodeTrafficIsFree) {
   EXPECT_EQ(write.invalidations_sent, 0u);
 }
 
-TEST(Coherence, ForgetDropsLine) {
-  CoherenceDirectory dir(2, costs());
-  dir.on_write(7, 0, 0);
-  dir.forget(7);
-  EXPECT_EQ(dir.tracked_lines(), 0u);
-  const auto outcome = dir.on_read(7, 2, 1);
-  EXPECT_FALSE(outcome.remote_hitm);
-}
-
 TEST(Coherence, TooManyNodesRejected) {
   EXPECT_THROW(CoherenceDirectory dir(17, costs()), CheckError);
 }

@@ -41,36 +41,11 @@ TEST(Events, LookupByName) {
   EXPECT_FALSE(event_by_name("no.such.event").has_value());
 }
 
-TEST(Events, LookupByCode) {
-  const auto& info = event_info(Event::kFillBufferRejects);
-  const auto event = event_by_code(info.code, info.umask);
-  ASSERT_TRUE(event.has_value());
-  EXPECT_EQ(*event, Event::kFillBufferRejects);
-  EXPECT_FALSE(event_by_code(0xFFFF, 0xFF).has_value());
-}
-
 TEST(Events, FixedCountersPresent) {
   EXPECT_EQ(event_info(Event::kCycles).scope, EventScope::kFixed);
   EXPECT_EQ(event_info(Event::kInstructions).scope, EventScope::kFixed);
   EXPECT_EQ(event_info(Event::kUncImcReads).scope, EventScope::kUncore);
   EXPECT_EQ(event_info(Event::kL1dMiss).scope, EventScope::kCore);
-}
-
-TEST(Events, JsonRoundTrip) {
-  const auto doc = events_to_json();
-  const auto parsed = events_from_json(doc);
-  EXPECT_EQ(parsed.size(), kEventCount);
-  // Re-parse after serialization text round trip.
-  const auto reparsed = events_from_json(util::Json::parse(doc.dump(2)));
-  EXPECT_EQ(reparsed.size(), kEventCount);
-}
-
-TEST(Events, JsonSkipsUnknownEvents) {
-  util::JsonObject entry;
-  entry["EventName"] = "alien.event";
-  util::JsonObject doc;
-  doc["Events"] = util::JsonArray{util::Json(std::move(entry))};
-  EXPECT_TRUE(events_from_json(util::Json(std::move(doc))).empty());
 }
 
 TEST(CounterBlock, AddAndAggregate) {

@@ -22,7 +22,7 @@ TEST(Machine, PaddrEncoding) {
 
 TEST(Machine, ColdLoadGoesToDram) {
   Machine machine(small_config());
-  const auto result = machine.load(0, make_paddr(0, 0), 0x10000);
+  const auto result = machine.load(0, make_paddr(0, 0), 0x10000, page_of(0x10000));
   EXPECT_EQ(result.source, DataSource::kLocalDram);
   EXPECT_GT(result.latency, 100u);
   const auto& counters = machine.core_counters(0);
@@ -35,8 +35,8 @@ TEST(Machine, ColdLoadGoesToDram) {
 
 TEST(Machine, SecondLoadHitsL1) {
   Machine machine(small_config());
-  machine.load(0, make_paddr(0, 0), 0x10000);
-  const auto result = machine.load(0, make_paddr(0, 0), 0x10000);
+  machine.load(0, make_paddr(0, 0), 0x10000, page_of(0x10000));
+  const auto result = machine.load(0, make_paddr(0, 0), 0x10000, page_of(0x10000));
   EXPECT_EQ(result.source, DataSource::kL1);
   EXPECT_EQ(result.latency, machine.config().l1.hit_latency);
   EXPECT_EQ(machine.core_counters(0)[Event::kMemLoadL1Hit], 1u);
@@ -44,8 +44,8 @@ TEST(Machine, SecondLoadHitsL1) {
 
 TEST(Machine, RemoteLoadSlowerAndCounted) {
   Machine machine(small_config());
-  const auto local = machine.load(0, make_paddr(0, 0), 0x10000);
-  const auto remote = machine.load(0, make_paddr(1, 0), 0x20000);
+  const auto local = machine.load(0, make_paddr(0, 0), 0x10000, page_of(0x10000));
+  const auto remote = machine.load(0, make_paddr(1, 0), 0x20000, page_of(0x20000));
   EXPECT_EQ(remote.source, DataSource::kRemoteDram);
   EXPECT_GT(remote.latency, local.latency);
   EXPECT_EQ(machine.core_counters(0)[Event::kMemLoadRemoteDram], 1u);
@@ -67,7 +67,7 @@ TEST(Machine, CyclesAdvanceWithWork) {
 
 TEST(Machine, StoresCountedSeparately) {
   Machine machine(small_config());
-  machine.store(0, make_paddr(0, 0), 0x10000);
+  machine.store(0, make_paddr(0, 0), 0x10000, page_of(0x10000));
   const auto& counters = machine.core_counters(0);
   EXPECT_EQ(counters[Event::kStoresRetired], 1u);
   EXPECT_EQ(counters[Event::kLoadsRetired], 0u);
@@ -103,7 +103,8 @@ TEST(Machine, StallsReduceSpeculativeJumps) {
     fast.branch(0, 1, i % 3 != 0);
     slow.branch(0, 1, i % 3 != 0);
     // Unique cold remote loads keep the slow machine memory-starved.
-    slow.load(0, make_paddr(1, static_cast<u64>(i) * 64), 0x100000 + static_cast<u64>(i) * 64);
+    const VirtAddr vaddr = 0x100000 + static_cast<u64>(i) * 64;
+    slow.load(0, make_paddr(1, static_cast<u64>(i) * 64), vaddr, page_of(vaddr));
   }
   const u64 spec_fast = fast.core_counters(0)[Event::kSpeculativeJumpsRetired];
   const u64 spec_slow = slow.core_counters(0)[Event::kSpeculativeJumpsRetired];
@@ -115,10 +116,10 @@ TEST(Machine, CoherenceHitmAcrossNodes) {
   machine.set_coherence_enabled(true);
   const VirtAddr vaddr = 0x30000;
   const PhysAddr paddr = make_paddr(0, 0x2000);
-  machine.store(0, paddr, vaddr);  // node 0 owns the line dirty
+  machine.store(0, paddr, vaddr, page_of(vaddr));  // node 0 owns the line dirty
   // A core on node 1 reads the same line: L3 of node 1 misses, directory
   // reports a remote HITM.
-  const auto result = machine.load(2, paddr, vaddr);
+  const auto result = machine.load(2, paddr, vaddr, page_of(vaddr));
   EXPECT_EQ(result.source, DataSource::kRemoteCacheHitm);
   EXPECT_EQ(machine.core_counters(2)[Event::kMemLoadRemoteHitm], 1u);
   EXPECT_GT(machine.uncore_counters(0)[Event::kUncHitmResponses], 0u);
@@ -127,15 +128,15 @@ TEST(Machine, CoherenceHitmAcrossNodes) {
 TEST(Machine, CoherenceDisabledByDefault) {
   Machine machine(small_config());
   const PhysAddr paddr = make_paddr(0, 0x2000);
-  machine.store(0, paddr, 0x30000);
-  const auto result = machine.load(2, paddr, 0x30000);
+  machine.store(0, paddr, 0x30000, page_of(0x30000));
+  const auto result = machine.load(2, paddr, 0x30000, page_of(0x30000));
   EXPECT_NE(result.source, DataSource::kRemoteCacheHitm);
 }
 
 TEST(Machine, SequentialScanTriggersL2Prefetch) {
   Machine machine(small_config());
   for (u64 i = 0; i < 64 * 100; i += 16) {  // 4-byte elements, unit stride
-    machine.load(0, make_paddr(0, i * 4), 0x10000 + i * 4);
+    machine.load(0, make_paddr(0, i * 4), 0x10000 + i * 4, page_of(0x10000 + i * 4));
   }
   EXPECT_GT(machine.core_counters(0)[Event::kL2PrefetchRequests], 10u);
 }
@@ -143,7 +144,8 @@ TEST(Machine, SequentialScanTriggersL2Prefetch) {
 TEST(Machine, PageStrideScanUsesL3Streamer) {
   Machine machine(small_config());
   for (u64 i = 0; i < 300; ++i) {
-    machine.load(0, make_paddr(0, i * kPageBytes), 0x10000 + i * kPageBytes);
+    const VirtAddr vaddr = 0x10000 + i * kPageBytes;
+    machine.load(0, make_paddr(0, i * kPageBytes), vaddr, page_of(vaddr));
   }
   const auto& counters = machine.core_counters(0);
   EXPECT_GT(counters[Event::kL3PrefetchRequests], 50u);
@@ -166,12 +168,12 @@ TEST(Machine, AggregateSumsCoresAndUncore) {
 
 TEST(Machine, ResetClearsEverything) {
   Machine machine(small_config());
-  machine.load(0, make_paddr(0, 0), 0x10000);
+  machine.load(0, make_paddr(0, 0), 0x10000, page_of(0x10000));
   machine.reset();
   EXPECT_EQ(machine.core_clock(0), 0u);
   EXPECT_EQ(machine.aggregate_counters()[Event::kL1dMiss], 0u);
   // After reset the same load is cold again.
-  const auto result = machine.load(0, make_paddr(0, 0), 0x10000);
+  const auto result = machine.load(0, make_paddr(0, 0), 0x10000, page_of(0x10000));
   EXPECT_EQ(result.source, DataSource::kLocalDram);
 }
 
@@ -182,7 +184,7 @@ TEST(Machine, InvalidCoreThrows) {
 
 TEST(Machine, PaddrBeyondNodesThrows) {
   Machine machine(small_config());
-  EXPECT_THROW(machine.load(0, make_paddr(7, 0), 0x10000), CheckError);
+  EXPECT_THROW(machine.load(0, make_paddr(7, 0), 0x10000, page_of(0x10000)), CheckError);
 }
 
 }  // namespace

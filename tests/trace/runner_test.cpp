@@ -178,11 +178,11 @@ TEST(Runner, RngIsPerThreadDeterministic) {
 TEST(Runner, FreeInvalidatesTlb) {
   Fixture f;
   Runner runner(f.machine, f.space);
-  runner.run(Program::single([](ThreadContext& ctx) -> SimTask {
+  runner.run(Program::single([&f](ThreadContext& ctx) -> SimTask {
     const VirtAddr a = ctx.alloc(kPageBytes);
     co_await ctx.store(a);   // walk 1
     co_await ctx.load(a);    // TLB hit
-    ctx.free(a);
+    f.space.free(a);
     const VirtAddr b = ctx.alloc(kPageBytes);
     co_await ctx.store(b);   // walk 2 (new page)
   }));
@@ -289,22 +289,6 @@ TEST(Tasks, NameProcessAppliesPidAndName) {
   EXPECT_EQ(resolved[0].pid, 42u);
   EXPECT_EQ(resolved[0].process_name, "sorter");
   EXPECT_EQ(resolved[1].tid, 2u);
-}
-
-TEST(Tasks, AddProcessComposesMultiProcessMix) {
-  Program mix = Program::single([](ThreadContext& ctx) { return touch_n_lines(ctx, 1); });
-  mix.name_process(1, "front");
-  mix.add_process(
-      2, "back",
-      Program::homogeneous(2, [](ThreadContext& ctx) { return touch_n_lines(ctx, 1); }));
-  const auto resolved = resolved_tasks(mix);
-  ASSERT_EQ(resolved.size(), 3u);
-  EXPECT_EQ(resolved[0].pid, 1u);
-  EXPECT_EQ(resolved[0].process_name, "front");
-  EXPECT_EQ(resolved[1].pid, 2u);
-  EXPECT_EQ(resolved[1].process_name, "back");
-  EXPECT_EQ(resolved[2].pid, 2u);
-  EXPECT_EQ(resolved[2].tid, 2u);
 }
 
 TEST(Tasks, MismatchedTaskSpecCountRejected) {

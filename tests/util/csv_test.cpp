@@ -21,12 +21,6 @@ TEST(Csv, QuotesSpecialCharacters) {
   EXPECT_EQ(csv.str(), "text\n\"has,comma\"\n\"has\"\"quote\"\n\"has\nnewline\"\n");
 }
 
-TEST(Csv, DoubleRows) {
-  CsvWriter csv({"x", "y"});
-  csv.add_row(std::vector<double>{1.5, 2.0});
-  EXPECT_EQ(csv.str(), "x,y\n1.5,2\n");
-}
-
 TEST(Csv, WidthMismatchThrows) {
   CsvWriter csv({"a", "b"});
   EXPECT_THROW(csv.add_row({std::string("only")}), CheckError);

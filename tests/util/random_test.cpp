@@ -69,34 +69,6 @@ TEST(Xoshiro, NormalMomentsRoughlyStandard) {
   EXPECT_NEAR(sum_sq / kDraws, 1.0, 0.05);
 }
 
-TEST(Xoshiro, ExponentialMeanMatchesRate) {
-  Xoshiro256ss rng(19);
-  double sum = 0;
-  constexpr int kDraws = 40000;
-  for (int i = 0; i < kDraws; ++i) sum += rng.exponential(2.0);
-  EXPECT_NEAR(sum / kDraws, 0.5, 0.02);
-}
-
-TEST(Xoshiro, GammaMeanMatchesShapeScale) {
-  Xoshiro256ss rng(23);
-  double sum = 0;
-  constexpr int kDraws = 40000;
-  for (int i = 0; i < kDraws; ++i) sum += rng.gamma(3.0, 2.0);
-  EXPECT_NEAR(sum / kDraws, 6.0, 0.15);
-}
-
-TEST(Xoshiro, GammaShapeBelowOne) {
-  Xoshiro256ss rng(29);
-  double sum = 0;
-  constexpr int kDraws = 40000;
-  for (int i = 0; i < kDraws; ++i) {
-    const double g = rng.gamma(0.5, 1.0);
-    EXPECT_GT(g, 0.0);
-    sum += g;
-  }
-  EXPECT_NEAR(sum / kDraws, 0.5, 0.03);
-}
-
 TEST(Xoshiro, ChanceEdgeCases) {
   Xoshiro256ss rng(31);
   for (int i = 0; i < 100; ++i) {

@@ -11,12 +11,12 @@ TEST(Strings, FormatBasics) {
   EXPECT_EQ(format("empty"), "empty");
 }
 
-TEST(Strings, SplitAndJoin) {
+TEST(Strings, SplitKeepsEmptyFields) {
   const auto parts = split("a,b,,c", ',');
   ASSERT_EQ(parts.size(), 4u);
   EXPECT_EQ(parts[0], "a");
   EXPECT_EQ(parts[2], "");
-  EXPECT_EQ(join(parts, "|"), "a|b||c");
+  EXPECT_EQ(parts[3], "c");
 }
 
 TEST(Strings, SplitEmptyString) {
@@ -31,12 +31,9 @@ TEST(Strings, Trim) {
   EXPECT_EQ(trim("abc"), "abc");
 }
 
-TEST(Strings, CaseHelpers) {
-  EXPECT_EQ(to_lower("MiXeD"), "mixed");
+TEST(Strings, StartsWith) {
   EXPECT_TRUE(starts_with("foobar", "foo"));
   EXPECT_FALSE(starts_with("fo", "foo"));
-  EXPECT_TRUE(contains_ci("Hello World", "wORLD"));
-  EXPECT_FALSE(contains_ci("Hello", "xyz"));
 }
 
 TEST(Strings, WithThousands) {
@@ -44,7 +41,6 @@ TEST(Strings, WithThousands) {
   EXPECT_EQ(with_thousands(u64{999}), "999");
   EXPECT_EQ(with_thousands(u64{1000}), "1,000");
   EXPECT_EQ(with_thousands(u64{1234567}), "1,234,567");
-  EXPECT_EQ(with_thousands(i64{-1234}), "-1,234");
 }
 
 TEST(Strings, SiScaled) {

@@ -54,35 +54,6 @@ TEST(Stream, TriadTouchesThreeArrays) {
   EXPECT_GE(totals[sim::Event::kStoresRetired], 3u << 12);
 }
 
-TEST(Matmul, BlockingKeepsCacheHitRateHigh) {
-  sim::Machine machine(quad());
-  trace::Run run(machine);
-  MatmulParams params;
-  params.n = 64;
-  params.block = 16;
-  run.run(matmul_program(params));
-  const auto totals = machine.aggregate_counters();
-  const double hit_rate = static_cast<double>(totals[sim::Event::kL1dHit]) /
-                          static_cast<double>(totals[sim::Event::kL1dAccess]);
-  EXPECT_GT(hit_rate, 0.8);
-}
-
-TEST(Matmul, ParallelRowBandsShareB) {
-  sim::Machine machine(quad());
-  trace::Run run(machine, {.affinity = os::AffinityPolicy::kScatter});
-  MatmulParams params;
-  params.n = 64;
-  params.block = 16;
-  params.threads = 4;
-  run.run(matmul_program(params));
-  // B is written by thread 0 and read by everyone: remote traffic exists.
-  u64 snoops = 0;
-  for (u32 node = 0; node < machine.nodes(); ++node) {
-    snoops += machine.uncore_counters(node)[sim::Event::kUncSnoopsReceived];
-  }
-  EXPECT_GT(snoops, 0u);
-}
-
 TEST(Gups, RandomUpdatesDefeatCaches) {
   sim::Machine machine(quad());
   trace::Run run(machine);
@@ -114,9 +85,6 @@ TEST(Gups, InterleavedTableSpreadsPages) {
 }
 
 TEST(Kernels, InvalidParamsRejected) {
-  MatmulParams bad;
-  bad.block = 0;
-  EXPECT_THROW(matmul_program(bad), CheckError);
   GupsParams gups;
   gups.table_bytes = 16;
   EXPECT_THROW(gups_program(gups), CheckError);

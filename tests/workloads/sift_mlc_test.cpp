@@ -123,9 +123,9 @@ TEST(MlcRemote, DefeatsPrefetcher) {
 }
 
 TEST(MlcRemote, FactorySelectsFarthestNode) {
-  const auto topo_ring = sim::make_ring(6, 1);
-  const auto params = mlc_remote(topo_ring);
-  EXPECT_EQ(topo_ring.hops(0, params.target_node), 3u);
+  const auto topo_cube = sim::make_twisted_cube(1);
+  const auto params = mlc_remote(topo_cube);
+  EXPECT_EQ(topo_cube.hops(0, params.target_node), 2u);
 
   const auto topo_full = sim::make_fully_connected(4, 1);
   const auto full_params = mlc_remote(topo_full);
