@@ -8,10 +8,13 @@
 //   npat_stat --workload=scan --preset=dual --cpus=0,1 --reps=5
 #include <cstdio>
 
+#include <unistd.h>
+
 #include "evsel/collector.hpp"
 #include "evsel/report.hpp"
 #include "perf/registry.hpp"
 #include "sim/presets.hpp"
+#include "util/ansi.hpp"
 #include "util/cli.hpp"
 #include "util/strings.hpp"
 #include "workloads/cache_scan.hpp"
@@ -96,6 +99,7 @@ int main(int argc, char** argv) {
 
   try {
     if (const auto rc = cli.parse_main(argc, argv)) return *rc;
+    util::set_ansi_enabled(::isatty(STDOUT_FILENO) == 1);  // colour cues on a terminal only
 
     if (list_events) {
       for (const auto& info : sim::all_events()) {

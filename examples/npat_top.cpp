@@ -80,6 +80,8 @@
 #include <fstream>
 #include <memory>
 
+#include <unistd.h>
+
 #include "advisor/advisor.hpp"
 #include "advisor/report.hpp"
 #include "fleet/collector.hpp"
@@ -98,6 +100,7 @@
 #include "phasen/online.hpp"
 #include "resilience/probe.hpp"
 #include "sim/presets.hpp"
+#include "util/ansi.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/strings.hpp"
@@ -693,6 +696,7 @@ int main(int argc, char** argv) {
 
   try {
     if (const auto rc = cli.parse_main(argc, argv)) return *rc;
+    util::set_ansi_enabled(::isatty(STDOUT_FILENO) == 1);  // colour cues on a terminal only
     // Arm the black box before anything can crash: committed alert
     // transitions land in the flight ring, and a std::terminate dumps the
     // ring so the last events before a crash survive it.

@@ -11,7 +11,10 @@
 //   npat_validate --preset=dual --report=trust.json --fail-on=suspect
 #include <cstdio>
 
+#include <unistd.h>
+
 #include "sim/presets.hpp"
+#include "util/ansi.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
@@ -45,6 +48,7 @@ int main(int argc, char** argv) {
 
   try {
     if (const auto rc = cli.parse_main(argc, argv)) return *rc;
+    util::set_ansi_enabled(::isatty(STDOUT_FILENO) == 1);  // colour cues on a terminal only
 
     if (list) {
       for (const auto& kernel : validate::kernel_suite()) {

@@ -1,10 +1,17 @@
 // Set-associative cache model with true-LRU replacement and write-back
 // semantics. Used for private L1D/L2 per core and a shared L3 per socket.
+//
+// Validity is epoch-tagged: a line is valid iff its epoch equals the
+// cache's current epoch, which starts at 1. Zero-filled storage is
+// therefore all-invalid, and clear() only advances the epoch, so a reset
+// costs O(1) however large the cache. The lines live in an anonymous
+// mapping, which reads as zeros and is paged in on first write, so sets
+// a run never touches cost neither time nor resident memory.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "util/types.hpp"
 
@@ -52,14 +59,26 @@ class Cache {
   /// Number of currently valid lines (for tests / occupancy metrics).
   u64 valid_lines() const;
 
+  /// Invalidates every line in O(1) by advancing the epoch.
   void clear();
 
  private:
+  friend struct CacheTestPeer;
+
   struct Line {
-    u64 tag = 0;
-    u64 stamp = 0;  // global LRU stamp; smaller = older
-    bool valid = false;
-    bool dirty = false;
+    u64 tag;
+    u64 stamp;  // global LRU stamp; smaller = older
+    u32 epoch;  // valid iff equal to Cache::epoch_; 0 is never current
+    bool dirty;
+  };
+  static_assert(sizeof(Line) == 24);
+
+  /// Owns the mapping. A heap block (calloc) would not do: once a large
+  /// block is freed, glibc serves the next one from its heap and zeroes it
+  /// with memset, which pages the whole cache in.
+  struct UnmapLines {
+    usize bytes;
+    void operator()(Line* lines) const noexcept;
   };
 
   usize set_index(u64 line_addr) const noexcept {
@@ -73,8 +92,9 @@ class Cache {
 
   CacheConfig config_;
   u64 sets_;
-  std::vector<Line> lines_;  // sets_ * ways, row-major by set
+  std::unique_ptr<Line[], UnmapLines> lines_;  // sets_ * ways, row-major by set
   u64 clock_ = 0;
+  u32 epoch_ = 1;
 };
 
 }  // namespace npat::sim

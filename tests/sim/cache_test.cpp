@@ -2,9 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <tuple>
+
 #include "util/check.hpp"
+#include "util/random.hpp"
 
 namespace npat::sim {
+
+struct CacheTestPeer {
+  static void set_epoch(Cache& cache, u32 epoch) { cache.epoch_ = epoch; }
+};
+
 namespace {
 
 CacheConfig tiny_cache() {
@@ -120,6 +129,66 @@ TEST(Cache, DistinctSetsDoNotConflict) {
   // Lines 0..3 map to distinct sets; all fit regardless of associativity.
   for (u64 line = 0; line < 4; ++line) cache.access(line, false);
   for (u64 line = 0; line < 4; ++line) EXPECT_TRUE(cache.contains(line));
+}
+
+/// Drives `a` and `b` with the same seeded access/fill/invalidate stream
+/// and asserts that every outcome matches.
+void expect_same_behaviour(Cache& a, Cache& b, u64 seed, u32 ops) {
+  const auto fields = [](const CacheOutcome& o) {
+    return std::tuple(o.hit, o.evicted_line, o.evicted_dirty);
+  };
+  util::Xoshiro256ss rng(seed);
+  // Twice the capacity in distinct lines keeps every set under pressure.
+  const u64 span = 2 * a.config().lines();
+  for (u32 i = 0; i < ops; ++i) {
+    const u64 line = rng() % span;
+    switch (rng() % 8) {
+      case 0:
+        ASSERT_EQ(a.invalidate(line), b.invalidate(line)) << "op " << i;
+        break;
+      case 1:
+        ASSERT_EQ(fields(a.fill(line)), fields(b.fill(line))) << "op " << i;
+        break;
+      default: {
+        const bool is_write = (rng() & 1) != 0;
+        ASSERT_EQ(fields(a.access(line, is_write)), fields(b.access(line, is_write))) << "op " << i;
+        break;
+      }
+    }
+  }
+  EXPECT_EQ(a.valid_lines(), b.valid_lines());
+}
+
+TEST(Cache, ClearedCacheBehavesLikeFreshOne) {
+  // 5 sets x 3 ways: neither count is a power of two.
+  const CacheConfig config{"odd", 5 * 3 * 64, 3, 64, 4};
+  Cache reused(config);
+  for (u64 round = 0; round < 6; ++round) {
+    reused.clear();
+    EXPECT_EQ(reused.valid_lines(), 0u);
+    Cache fresh(config);
+    expect_same_behaviour(reused, fresh, 1000 + round, 2000);
+  }
+}
+
+TEST(Cache, EpochWrapInvalidatesEveryLine) {
+  Cache cache(tiny_cache());
+  cache.access(0, true);  // tagged with the first epoch
+  cache.access(1, false);
+  // Stand-in for 2^32 - 2 clears: the next clear wraps the epoch.
+  CacheTestPeer::set_epoch(cache, UINT32_MAX);
+  EXPECT_EQ(cache.valid_lines(), 0u);
+  cache.access(2, true);
+  cache.fill(3);
+  EXPECT_EQ(cache.valid_lines(), 2u);
+  cache.clear();
+  // Lines from before the wrap, including those of the epoch it wraps
+  // back to, must all read as invalid.
+  EXPECT_EQ(cache.valid_lines(), 0u);
+  for (u64 line = 0; line < 4; ++line) EXPECT_FALSE(cache.contains(line)) << line;
+  // And the wrapped cache still behaves like a fresh one.
+  Cache fresh(tiny_cache());
+  expect_same_behaviour(cache, fresh, 7, 500);
 }
 
 }  // namespace

@@ -6,6 +6,17 @@
 #include "util/check.hpp"
 
 namespace npat::sim {
+
+struct MachineTestPeer {
+  /// Valid lines summed over every L1, L2 and L3 of the machine.
+  static u64 valid_cache_lines(const Machine& machine) {
+    u64 total = 0;
+    for (const auto& core : machine.cores_) total += core.l1.valid_lines() + core.l2.valid_lines();
+    for (const auto& node : machine.nodes_) total += node.l3.valid_lines();
+    return total;
+  }
+};
+
 namespace {
 
 MachineConfig small_config() {
@@ -167,14 +178,22 @@ TEST(Machine, AggregateSumsCoresAndUncore) {
 }
 
 TEST(Machine, ResetClearsEverything) {
-  Machine machine(small_config());
-  machine.load(0, make_paddr(0, 0), 0x10000, page_of(0x10000));
+  // The DL580 preset's 45 MiB L3 is the size the O(1) cache clear is for.
+  MachineConfig config = hpe_dl580_gen9(2);
+  config.memory.jitter_fraction = 0.0;
+  Machine machine(config);
+  const PhysAddr paddr = make_paddr(0, 0x40000);
+  const VirtAddr vaddr = 0x40000;
+  EXPECT_EQ(machine.load(0, paddr, vaddr, page_of(vaddr)).source, DataSource::kLocalDram);
+  // Core 1 shares node 0's L3 but not core 0's L1 and L2.
+  EXPECT_EQ(machine.load(1, paddr, vaddr, page_of(vaddr)).source, DataSource::kL3);
+  EXPECT_GT(MachineTestPeer::valid_cache_lines(machine), 0u);
   machine.reset();
   EXPECT_EQ(machine.core_clock(0), 0u);
   EXPECT_EQ(machine.aggregate_counters()[Event::kL1dMiss], 0u);
-  // After reset the same load is cold again.
-  const auto result = machine.load(0, make_paddr(0, 0), 0x10000, page_of(0x10000));
-  EXPECT_EQ(result.source, DataSource::kLocalDram);
+  EXPECT_EQ(MachineTestPeer::valid_cache_lines(machine), 0u);
+  // After reset the line that hit in L3 misses to DRAM again.
+  EXPECT_EQ(machine.load(1, paddr, vaddr, page_of(vaddr)).source, DataSource::kLocalDram);
 }
 
 TEST(Machine, InvalidCoreThrows) {
