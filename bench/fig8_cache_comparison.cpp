@@ -9,6 +9,7 @@
 // the directions and magnitudes of the ratios are the reproduction target.
 #include <cstdio>
 
+#include "counter_digest.hpp"
 #include "evsel/collector.hpp"
 #include "evsel/compare.hpp"
 #include "perf/registry.hpp"
@@ -103,5 +104,6 @@ int main(int argc, char** argv) {
   std::fputs(shape.render().c_str(), stdout);
   std::printf("\ntotal program runs executed (batched register groups): %llu\n",
               static_cast<unsigned long long>(collector.runs_executed()));
+  bench::print_counter_digest({a, b});
   return 0;
 }

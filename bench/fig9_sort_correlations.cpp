@@ -8,6 +8,7 @@
 //     R > 0.99 (the CPU cannot speculate past memory stalls).
 #include <cstdio>
 
+#include "counter_digest.hpp"
 #include "evsel/regress.hpp"
 #include "evsel/report.hpp"
 #include "sim/presets.hpp"
@@ -87,5 +88,7 @@ int main(int argc, char** argv) {
   }
   std::puts("");
   std::fputs(shape.render().c_str(), stdout);
+  std::puts("");
+  bench::print_counter_digest(sweep.measurements);
   return 0;
 }

@@ -30,16 +30,16 @@ class FillBuffer {
   /// the earliest completion and the rejection is counted.
   Result allocate(Cycles now, Cycles fill_latency);
 
-  /// Entries still busy at `now` (for occupancy metrics/tests).
-  u32 busy(Cycles now) const;
-
   void clear();
 
  private:
-  void expire(Cycles now);
+  /// Drops the entries released by `now`; returns the earliest release
+  /// time left (the maximum Cycles value when none is).
+  Cycles expire(Cycles now);
 
   FillBufferConfig config_;
-  std::vector<Cycles> release_times_;  // unsorted small set, size <= entries
+  std::vector<Cycles> release_times_;  // entries slots; [0, used_) are busy
+  u32 used_ = 0;
 };
 
 }  // namespace npat::sim

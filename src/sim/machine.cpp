@@ -8,19 +8,20 @@
 namespace npat::sim {
 
 namespace {
-// Time constant of the memory-starvation EMA that throttles speculation:
-// long enough that a barrier wait suppresses speculative retirement for a
-// meaningful stretch of the following compute.
-constexpr double kStallEmaTauCycles = 262144.0;
+Cycles execute_busy_cycles(u64 count, double base_ipc) {
+  return std::max<Cycles>(
+      1, static_cast<Cycles>(std::llround(static_cast<double>(count) / base_ipc)));
 }
+}  // namespace
 
-Machine::CoreState::CoreState(const MachineConfig& config)
+Machine::CoreState::CoreState(const MachineConfig& config, NodeId node_of_core)
     : l1(config.l1),
       l2(config.l2),
       tlb(config.tlb),
       fill_buffer(config.fill_buffer),
       prefetcher(config.prefetcher),
-      branch(config.branch) {}
+      branch(config.branch),
+      node(node_of_core) {}
 
 Machine::NodeState::NodeState(const MachineConfig& config) : l3(config.l3) {}
 
@@ -31,12 +32,13 @@ Machine::Machine(MachineConfig config)
       rng_(config_.seed) {
   config_.topology.validate();
   NPAT_CHECK_MSG(config_.base_ipc > 0.0, "base IPC must be positive");
-  NPAT_CHECK_MSG(config_.stall_exposure >= 0.0 && config_.stall_exposure <= 1.0,
-                 "stall exposure must be in [0,1]");
   cores_.reserve(cores());
-  for (u32 c = 0; c < cores(); ++c) cores_.emplace_back(config_);
+  for (u32 c = 0; c < cores(); ++c) cores_.emplace_back(config_, topology().node_of_core(c));
   nodes_.reserve(nodes());
   for (u32 n = 0; n < nodes(); ++n) nodes_.emplace_back(config_);
+  for (usize count = 0; count < execute_cycles_.size(); ++count) {
+    execute_cycles_[count] = execute_busy_cycles(count, config_.base_ipc);
+  }
 }
 
 Machine::CoreState& Machine::core_state(CoreId core) {
@@ -47,18 +49,14 @@ const Machine::CoreState& Machine::core_state(CoreId core) const {
   NPAT_CHECK_MSG(core < cores_.size(), "core id out of range");
   return cores_[core];
 }
-Machine::NodeState& Machine::node_state(NodeId node) {
-  NPAT_CHECK_MSG(node < nodes_.size(), "node id out of range");
-  return nodes_[node];
-}
 const Machine::NodeState& Machine::node_state(NodeId node) const {
   NPAT_CHECK_MSG(node < nodes_.size(), "node id out of range");
   return nodes_[node];
 }
 
-void Machine::advance(CoreId core, Cycles cycles) { charge_cycles(core, cycles, 0); }
+void Machine::advance(CoreId core, Cycles cycles) { charge_cycles(core_state(core), cycles, 0); }
 
-void Machine::wait(CoreId core, Cycles cycles) { charge_cycles(core, 0, cycles); }
+void Machine::wait(CoreId core, Cycles cycles) { charge_cycles(core_state(core), 0, cycles); }
 
 Cycles Machine::max_clock() const {
   Cycles worst = 0;
@@ -66,26 +64,16 @@ Cycles Machine::max_clock() const {
   return worst;
 }
 
-void Machine::update_stall_ema(CoreState& state, Cycles busy, Cycles stalled) {
-  const double total = static_cast<double>(busy + stalled);
-  if (total <= 0.0) return;
-  const double ratio = static_cast<double>(stalled) / total;
-  // Duration-weighted EMA: long waits move the estimate proportionally.
-  const double alpha = total / (total + kStallEmaTauCycles);
-  state.stall_ema += alpha * (ratio - state.stall_ema);
-}
-
-void Machine::charge_cycles(CoreId core, Cycles busy, Cycles stalled) {
-  CoreState& state = core_state(core);
+void Machine::charge_cycles(CoreState& cs, Cycles busy, Cycles stalled) {
   const Cycles total = busy + stalled;
-  state.clock += total;
-  state.pmu.counters().add(Event::kCycles, total);
-  state.pmu.counters().add(Event::kRefCycles, total);
-  if (stalled > 0) state.pmu.counters().add(Event::kStallCyclesTotal, stalled);
-  update_stall_ema(state, busy, stalled);
+  cs.clock += total;
+  cs.pmu.counters().add(Event::kCycles, total);
+  cs.pmu.counters().add(Event::kRefCycles, total);
+  if (stalled > 0) cs.pmu.counters().add(Event::kStallCyclesTotal, stalled);
 }
 
-void Machine::issue_prefetches(CoreState& cs, NodeState& ns, NodeId node, u64 line) {
+void Machine::issue_prefetches(CoreState& cs, NodeState& ns, u64 line) {
+  const NodeId node = cs.node;
   cs.prefetcher.observe(line, prefetch_scratch_);
   for (const auto& request : prefetch_scratch_) {
     // A prefetch that reaches DRAM fetches from the line's *home* node and
@@ -93,7 +81,7 @@ void Machine::issue_prefetches(CoreState& cs, NodeState& ns, NodeId node, u64 li
     const NodeId home = node_of_paddr(request.line * kCacheLineBytes);
     if (home >= nodes()) continue;  // prefetcher ran past installed memory
     auto charge_dram_fetch = [&] {
-      node_state(home).uncore.add(Event::kUncImcReads);
+      nodes_[home].uncore.add(Event::kUncImcReads);
       if (home != node) {
         ns.uncore.add(Event::kUncQpiTxFlits, topology().hops(node, home));
       }
@@ -140,10 +128,11 @@ void Machine::issue_prefetches(CoreState& cs, NodeState& ns, NodeId node, u64 li
 Machine::AccessResult Machine::access_impl(CoreId core, PhysAddr paddr, VirtAddr vaddr,
                                            u64 tlb_page, bool is_write, bool is_atomic) {
   CoreState& cs = core_state(core);
-  const NodeId node = topology().node_of_core(core);
-  NodeState& ns = node_state(node);
+  const NodeId node = cs.node;
+  NodeState& ns = nodes_[node];
   const NodeId target_node = node_of_paddr(paddr);
   NPAT_CHECK_MSG(target_node < nodes(), "physical address outside installed memory");
+  NodeState& target = nodes_[target_node];
   const u64 line = cache_line_of(paddr);
   const Cycles now = cs.clock;
   auto& counters = cs.pmu.counters();
@@ -230,14 +219,13 @@ Machine::AccessResult Machine::access_impl(CoreId core, PhysAddr paddr, VirtAddr
           const auto coherence = is_write ? directory_.on_write(line, core, node)
                                           : directory_.on_read(line, core, node);
           if (coherence.remote_snoops > 0) {
-            node_state(target_node).uncore.add(Event::kUncSnoopsReceived,
-                                               coherence.remote_snoops);
+            target.uncore.add(Event::kUncSnoopsReceived, coherence.remote_snoops);
           }
           if (coherence.remote_hitm) {
             // kMemLoadRemoteHitm is a *load* data-source event; stores and
             // RMWs still pay the forward but retire as stores.
             if (!is_write) counters.add(Event::kMemLoadRemoteHitm);
-            node_state(target_node).uncore.add(Event::kUncHitmResponses);
+            target.uncore.add(Event::kUncHitmResponses);
             source = DataSource::kRemoteCacheHitm;
             served_by_remote_cache = true;
           }
@@ -247,7 +235,6 @@ Machine::AccessResult Machine::access_impl(CoreId core, PhysAddr paddr, VirtAddr
         if (!served_by_remote_cache) {
           const auto dram = memory_.access(node, target_node, now);
           fill_latency += dram.latency;
-          NodeState& target = node_state(target_node);
           target.uncore.add(is_write ? Event::kUncImcWrites : Event::kUncImcReads);
           target.energy_pj += config_.energy_pj_per_dram_access;
           if (target_node != node) {
@@ -263,39 +250,29 @@ Machine::AccessResult Machine::access_impl(CoreId core, PhysAddr paddr, VirtAddr
       }
     }
 
-    // Line-fill buffer: the miss occupies an entry for its whole duration;
-    // a full buffer rejects the demand and stalls the pipeline until a slot
-    // frees. Misses with free slots are mostly overlapped (MLP): the drain
-    // stall scales with current occupancy, so an empty buffer hides latency
-    // completely and a saturated one throttles the core.
+    // Line-fill buffer: the miss occupies an entry for its whole duration.
+    // Misses with free slots overlap completely (MLP); a full buffer
+    // rejects the demand and stalls the pipeline until a slot frees, which
+    // is what throttles a miss-bound core — the mechanism behind Fig. 8's
+    // fill-buffer reject explosion.
     counters.add(Event::kFillBufferAllocations);
-    const double occupancy_fraction =
-        static_cast<double>(cs.fill_buffer.busy(now)) /
-        static_cast<double>(config_.fill_buffer.entries);
     const auto fb = cs.fill_buffer.allocate(now, fill_latency);
     if (fb.rejects > 0) {
       counters.add(Event::kFillBufferRejects, fb.rejects);
     }
-    // Quartic pressure curve: plenty of MLP headroom until the buffers are
-    // nearly full, then the backend drains hard — miss-bound streams pin
-    // the buffers at capacity instead of settling below it.
-    const double pressure =
-        occupancy_fraction * occupancy_fraction * occupancy_fraction * occupancy_fraction;
-    miss_exposed = static_cast<Cycles>(std::llround(static_cast<double>(fill_latency) *
-                                                    config_.stall_exposure * pressure)) +
-                   fb.stall;
+    miss_exposed = fb.stall;
     fill_latency += fb.stall;
     latency += fill_latency;
 
     // Hardware prefetchers observe the demand-miss stream.
-    issue_prefetches(cs, ns, node, line);
+    issue_prefetches(cs, ns, line);
   }
 
   if (coherence_enabled_ && l1_outcome.hit && is_write) {
     // Writes that hit locally may still need to invalidate remote sharers.
     const auto coherence = directory_.on_write(line, core, node);
     if (coherence.remote_snoops > 0) {
-      node_state(target_node).uncore.add(Event::kUncSnoopsReceived, coherence.remote_snoops);
+      target.uncore.add(Event::kUncSnoopsReceived, coherence.remote_snoops);
       latency += coherence.extra_latency;
     }
   } else if (coherence_enabled_ && l1_outcome.hit && !is_write) {
@@ -316,7 +293,7 @@ Machine::AccessResult Machine::access_impl(CoreId core, PhysAddr paddr, VirtAddr
   Cycles exposed = miss_exposed + translation_stall;
   if (is_atomic) exposed += config_.atomic_latency;
   if (exposed > 0) counters.add(Event::kStallCyclesMem, exposed);
-  charge_cycles(core, busy, exposed);
+  charge_cycles(cs, busy, exposed);
 
   AccessResult result;
   result.latency = latency;
@@ -351,12 +328,10 @@ void Machine::execute(CoreId core, u64 count) {
   counters.add(Event::kInstructions, count);
   counters.add(Event::kUopsIssued, count);
   counters.add(Event::kUopsRetired, count);
-  node_state(topology().node_of_core(core)).energy_pj +=
-      config_.energy_pj_per_instruction * static_cast<double>(count);
-  const Cycles busy =
-      std::max<Cycles>(1, static_cast<Cycles>(std::llround(static_cast<double>(count) /
-                                                           config_.base_ipc)));
-  charge_cycles(core, busy, 0);
+  nodes_[cs.node].energy_pj += config_.energy_pj_per_instruction * static_cast<double>(count);
+  const Cycles busy = count < execute_cycles_.size() ? execute_cycles_[count]
+                                                    : execute_busy_cycles(count, config_.base_ipc);
+  charge_cycles(cs, busy, 0);
 }
 
 void Machine::branch(CoreId core, u64 site_key, bool taken) {
@@ -391,7 +366,7 @@ void Machine::branch(CoreId core, u64 site_key, bool taken) {
     cs.spec_credit -= 1.0;
   }
 
-  charge_cycles(core, 1, stall);
+  charge_cycles(cs, 1, stall);
 }
 
 void Machine::invalidate_page(u64 page) {
@@ -449,7 +424,6 @@ void Machine::reset() {
     core.branch.clear();
     core.pmu.clear();
     core.clock = 0;
-    core.stall_ema = 0.0;
     core.spec_credit = 0.0;
   }
   for (auto& node : nodes_) {

@@ -9,6 +9,7 @@
 // hardware event set. It deliberately models costs, not data values.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -69,13 +70,6 @@ struct MachineConfig {
   /// emerge when those fill up (the MLP model behind Fig. 8's fill-buffer
   /// reject explosion).
   Cycles mem_issue_cycles = 1;
-  /// Fraction of miss latency exposed as dependent-use stall at *full*
-  /// fill-buffer occupancy (quartic in occupancy below that). Default 0:
-  /// out-of-order execution hides miss latency until the fill buffers
-  /// saturate, and the buffer-full stall is what throttles the core — the
-  /// mechanism behind Fig. 8's fill-buffer reject explosion. Raise it for
-  /// an in-order-ish ablation.
-  double stall_exposure = 0.0;
   Cycles atomic_latency = 24;
 
   /// Energy model (drives the RAPL-style uncore counter).
@@ -106,7 +100,8 @@ class Machine {
   /// Advances a core's clock doing useful (busy) work.
   void advance(CoreId core, Cycles cycles);
   /// Advances a core's clock *waiting* (spin/synchronization): counted as
-  /// stall, which suppresses speculative retirement afterwards.
+  /// stall, which lowers the duty cycle that speculative retirement scales
+  /// with (see branch()).
   void wait(CoreId core, Cycles cycles);
   /// Maximum core clock; the OS layer keeps cores loosely synchronized.
   Cycles max_clock() const;
@@ -159,9 +154,6 @@ class Machine {
   /// across cores.
   void flush_task_accounting();
 
-  /// Memory-stall EMA of a core in [0,1]; feeds the speculation model.
-  double stall_ratio(CoreId core) const { return core_state(core).stall_ema; }
-
   /// Resets caches, TLBs, predictors, counters and clocks (fresh run).
   /// Clearing a cache is O(1) (see sim/cache.hpp), so a reset costs the
   /// same on a 45 MiB L3 as on a tiny one.
@@ -178,11 +170,11 @@ class Machine {
     Prefetcher prefetcher;
     BranchPredictor branch;
     CorePmu pmu;
+    NodeId node;
     Cycles clock = 0;
-    double stall_ema = 0.0;
     double spec_credit = 0.0;
 
-    explicit CoreState(const MachineConfig& config);
+    CoreState(const MachineConfig& config, NodeId node_of_core);
   };
 
   struct NodeState {
@@ -195,15 +187,13 @@ class Machine {
 
   CoreState& core_state(CoreId core);
   const CoreState& core_state(CoreId core) const;
-  NodeState& node_state(NodeId node);
   const NodeState& node_state(NodeId node) const;
 
   /// Shared memory-access path; is_write selects store semantics.
   AccessResult access_impl(CoreId core, PhysAddr paddr, VirtAddr vaddr, u64 tlb_page,
                            bool is_write, bool is_atomic);
-  void charge_cycles(CoreId core, Cycles busy, Cycles stalled);
-  void update_stall_ema(CoreState& state, Cycles busy, Cycles stalled);
-  void issue_prefetches(CoreState& cs, NodeState& ns, NodeId node, u64 line);
+  static void charge_cycles(CoreState& cs, Cycles busy, Cycles stalled);
+  void issue_prefetches(CoreState& cs, NodeState& ns, u64 line);
 
   MachineConfig config_;
   std::vector<CoreState> cores_;
@@ -213,6 +203,9 @@ class Machine {
   util::Xoshiro256ss rng_;
   bool coherence_enabled_ = false;
   std::vector<PrefetchRequest> prefetch_scratch_;
+  /// execute()'s busy cycles for small instruction counts, the same
+  /// rounding computed once.
+  std::array<Cycles, 64> execute_cycles_{};
 };
 
 }  // namespace npat::sim

@@ -6,7 +6,8 @@
 
 namespace npat::sim {
 
-Prefetcher::Prefetcher(const PrefetcherConfig& config) : config_(config) {
+Prefetcher::Prefetcher(const PrefetcherConfig& config)
+    : config_(config), miss_distance_(static_cast<u64>(config.match_distance_lines) + 1) {
   NPAT_CHECK_MSG(config.streams > 0, "prefetcher needs at least one stream");
   NPAT_CHECK_MSG(config.match_distance_lines > 0, "match distance must be positive");
   streams_.resize(config.streams);
@@ -17,29 +18,33 @@ void Prefetcher::observe(u64 line_addr, std::vector<PrefetchRequest>& out) {
   ++clock_;
 
   // Match the nearest stream within the tracking window (real prefetchers
-  // track a handful of concurrent streams by address proximity).
-  Stream* stream = nullptr;
-  Stream* victim = &streams_[0];
-  i64 best_distance = config_.match_distance_lines + 1;
-  for (auto& s : streams_) {
-    if (!s.valid) {
-      if (victim->valid) victim = &s;  // free slot beats any LRU victim
-      continue;
-    }
-    if (victim->valid && s.stamp < victim->stamp) victim = &s;
-    const i64 distance =
-        std::llabs(static_cast<i64>(line_addr) - static_cast<i64>(s.last_line));
-    if (distance < best_distance) {
-      best_distance = distance;
-      stream = &s;
-    }
+  // track a handful of concurrent streams by address proximity); the first
+  // of two equally near streams wins.
+  usize nearest = used_;
+  u64 best_distance = miss_distance_;
+  for (usize i = 0; i < used_; ++i) {
+    const u64 last = streams_[i].last_line;
+    const u64 distance = std::min(line_addr - last, last - line_addr);  // |line - last|
+    const bool closer = distance < best_distance;
+    best_distance = closer ? distance : best_distance;
+    nearest = closer ? i : nearest;
   }
-  if (best_distance > config_.match_distance_lines) stream = nullptr;
 
-  if (stream == nullptr) {
-    *victim = Stream{line_addr, 0, 0, clock_, true};
+  if (nearest == used_) {
+    // A new stream takes the first free slot, else the least recent one.
+    // Slots only free up all at once (clear), so the free ones are a suffix.
+    Stream* victim = &streams_[0];
+    if (used_ < streams_.size()) {
+      victim = &streams_[used_++];
+    } else {
+      for (auto& s : streams_) {
+        if (s.stamp < victim->stamp) victim = &s;
+      }
+    }
+    *victim = Stream{line_addr, 0, 0, clock_};
     return;
   }
+  Stream* stream = &streams_[nearest];
 
   const i64 stride = static_cast<i64>(line_addr) - static_cast<i64>(stream->last_line);
   if (stride == 0) {
@@ -68,7 +73,7 @@ void Prefetcher::observe(u64 line_addr, std::vector<PrefetchRequest>& out) {
 }
 
 void Prefetcher::clear() {
-  for (auto& s : streams_) s = Stream{};
+  used_ = 0;
   clock_ = 0;
 }
 

@@ -48,11 +48,12 @@ class Prefetcher {
     i64 stride = 0;
     u32 confidence = 0;
     u64 stamp = 0;
-    bool valid = false;
   };
 
   PrefetcherConfig config_;
   std::vector<Stream> streams_;
+  u64 miss_distance_;  // distances at or past this match no stream
+  usize used_ = 0;  // streams_[0, used_) are tracked
   u64 clock_ = 0;
 };
 

@@ -1,71 +1,16 @@
 #include "sim/tlb.hpp"
 
-#include "util/check.hpp"
-
 namespace npat::sim {
-
-Tlb::Level::Level(u32 total_entries, u32 ways_in)
-    : sets(total_entries / ways_in), ways(ways_in), entries(total_entries) {
-  NPAT_CHECK_MSG(ways_in > 0 && total_entries % ways_in == 0,
-                 "TLB entries must divide evenly into ways");
-  NPAT_CHECK_MSG(sets > 0, "TLB needs at least one set");
-}
-
-bool Tlb::Level::lookup_and_touch(u64 page, u64 clock) {
-  const usize set = static_cast<usize>(page % sets);
-  Entry* base = &entries[set * ways];
-  for (u32 w = 0; w < ways; ++w) {
-    if (base[w].valid && base[w].page == page) {
-      base[w].stamp = clock;
-      return true;
-    }
-  }
-  return false;
-}
-
-void Tlb::Level::insert(u64 page, u64 clock) {
-  const usize set = static_cast<usize>(page % sets);
-  Entry* base = &entries[set * ways];
-  Entry* slot = base;
-  for (u32 w = 0; w < ways; ++w) {
-    if (!base[w].valid) {
-      slot = &base[w];
-      break;
-    }
-    if (base[w].stamp < slot->stamp) slot = &base[w];
-  }
-  slot->valid = true;
-  slot->page = page;
-  slot->stamp = clock;
-}
-
-void Tlb::Level::invalidate(u64 page) {
-  const usize set = static_cast<usize>(page % sets);
-  Entry* base = &entries[set * ways];
-  for (u32 w = 0; w < ways; ++w) {
-    if (base[w].valid && base[w].page == page) base[w].valid = false;
-  }
-}
-
-void Tlb::Level::flush() {
-  for (auto& e : entries) e.valid = false;
-}
 
 Tlb::Tlb(const TlbConfig& config)
     : config_(config),
-      dtlb_(config.dtlb_entries, config.dtlb_ways),
-      stlb_(config.stlb_entries, config.stlb_ways) {}
+      dtlb_(CacheConfig{"DTLB", config.dtlb_entries, config.dtlb_ways, 1, 0}),
+      stlb_(CacheConfig{"STLB", config.stlb_entries, config.stlb_ways, 1, 0}) {}
 
 TlbOutcome Tlb::access(u64 page) {
-  ++clock_;
-  if (dtlb_.lookup_and_touch(page, clock_)) return TlbOutcome::kDtlbHit;
-  if (stlb_.lookup_and_touch(page, clock_)) {
-    dtlb_.insert(page, clock_);
-    return TlbOutcome::kStlbHit;
-  }
-  stlb_.insert(page, clock_);
-  dtlb_.insert(page, clock_);
-  return TlbOutcome::kPageWalk;
+  // A lookup that misses also fills the level, as a walk or STLB hit does.
+  if (dtlb_.access(page, false).hit) return TlbOutcome::kDtlbHit;
+  return stlb_.access(page, false).hit ? TlbOutcome::kStlbHit : TlbOutcome::kPageWalk;
 }
 
 void Tlb::invalidate(u64 page) {
@@ -74,8 +19,8 @@ void Tlb::invalidate(u64 page) {
 }
 
 void Tlb::flush() {
-  dtlb_.flush();
-  stlb_.flush();
+  dtlb_.clear();
+  stlb_.clear();
 }
 
 }  // namespace npat::sim

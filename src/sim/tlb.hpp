@@ -3,17 +3,16 @@
 // Fig. 9 attributes l1d.locks to "TLB page walks by the uncore").
 #pragma once
 
-#include <vector>
-
+#include "sim/cache.hpp"
 #include "util/types.hpp"
 
 namespace npat::sim {
 
 struct TlbConfig {
   u32 dtlb_entries = 64;
-  u32 dtlb_ways = 4;
+  u32 dtlb_ways = 4;  // at most 16, like every Cache
   u32 stlb_entries = 1536;
-  u32 stlb_ways = 12;
+  u32 stlb_ways = 12;  // at most 16
   Cycles walk_latency = 28;  // nominal page-walk duration
 };
 
@@ -33,28 +32,11 @@ class Tlb {
   void flush();
 
  private:
-  struct Entry {
-    u64 page = 0;
-    u64 stamp = 0;
-    bool valid = false;
-  };
-
-  struct Level {
-    u32 sets;
-    u32 ways;
-    std::vector<Entry> entries;
-
-    Level(u32 total_entries, u32 ways_in);
-    bool lookup_and_touch(u64 page, u64 clock);
-    void insert(u64 page, u64 clock);
-    void invalidate(u64 page);
-    void flush();
-  };
-
+  // Each level is a set-associative LRU array of pages: a Cache of
+  // one-byte "lines", whose line address is the page key.
   TlbConfig config_;
-  Level dtlb_;
-  Level stlb_;
-  u64 clock_ = 0;
+  Cache dtlb_;
+  Cache stlb_;
 };
 
 }  // namespace npat::sim

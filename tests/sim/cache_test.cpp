@@ -32,6 +32,11 @@ TEST(Cache, InvalidGeometryThrows) {
   EXPECT_THROW(Cache cache(bad), CheckError);
 }
 
+TEST(Cache, AtMostSixteenWays) {
+  EXPECT_NO_THROW(Cache cache(CacheConfig{"16-way", 16 * 64, 16, 64, 1}));
+  EXPECT_THROW(Cache cache(CacheConfig{"17-way", 17 * 64, 17, 64, 1}), CheckError);
+}
+
 TEST(Cache, MissThenHit) {
   Cache cache(tiny_cache());
   EXPECT_FALSE(cache.access(1, false).hit);
